@@ -380,15 +380,6 @@ let fig4_large () =
 let table_flags () =
   header "Table -- mini-sac2c flag ablation on the SaC Euler solver";
   let nx = 60 and steps = 25 in
-  (* For the compiled column: a checksum entry point over a longer
-     run, so the generated binary's wall time is compute-dominated. *)
-  let compiled_nx = 200 and compiled_steps = 150 in
-  let checksum_src =
-    Sacprog.Programs.euler_1d
-    ^ "\ndouble checksum(int n, int steps) {\n\
-       \  q = run(sod_init(n), steps, 1.4, 1.0 / (1.0 * n), 0.5);\n\
-       \  return (sum(q));\n}\n"
-  in
   let native = Sacprog.Runner.native_sod_state ~nx ~steps in
   let configs =
     [ ("-O0 (no optimisation)", Sac.Pipeline.o0);
@@ -401,49 +392,35 @@ let table_flags () =
         { Sac.Pipeline.default_options with Sac.Pipeline.maxoptcyc = 1 } )
     ]
   in
-  Printf.printf "%-42s %8s %10s %12s %12s %13s %9s\n" "configuration"
-    "cycles" "with-loops" "elements" "interp (s)" "compiled (s)"
-    "max|diff|";
-  let compiled_outputs = ref [] in
-  List.iter
-    (fun (name, options) ->
-      let c = Sacprog.Runner.compile_euler_1d ~options () in
-      let (stats, result), wall =
-        time_it (fun () -> Sacprog.Runner.sod_state c ~nx ~steps)
-      in
-      (* Compile the same configuration to standalone OCaml and time
-         the binary on a larger run. *)
-      let prog, _ =
-        Sac.Pipeline.optimize ~options (Sac.Parser.parse_program checksum_src)
-      in
-      let compiled_wall =
-        match
-          time_it (fun () ->
-              Sac.Codegen.compile_and_run ~entry:"checksum"
-                ~args:
-                  [ string_of_int compiled_nx; string_of_int compiled_steps ]
-                prog)
-        with
-        | Ok out, t ->
-          compiled_outputs := out :: !compiled_outputs;
-          Printf.sprintf "%10.2f" t
-        | Error _, _ -> "     (n/a)"
-      in
-      Printf.printf "%-42s %8d %10d %12d %12.2f %13s %9.1e\n" name
-        c.Sacprog.Runner.report.Sac.Pipeline.cycles_used
-        stats.Sac.Eval.with_loops stats.Sac.Eval.elements wall
-        compiled_wall
-        (Sacprog.Runner.max_abs_diff result native))
-    configs;
-  (match !compiled_outputs with
-   | x :: rest when List.for_all (( = ) x) rest ->
+  Printf.printf "%-42s %8s %10s %12s %10s %9s\n" "configuration" "cycles"
+    "with-loops" "elements" "vm (s)" "max|diff|";
+  let results =
+    List.map
+      (fun (name, options) ->
+        let c = Sacprog.Runner.compile_euler_1d ~options () in
+        let (stats, result), wall =
+          time_it (fun () -> Sacprog.Runner.sod_state c ~nx ~steps)
+        in
+        Printf.printf "%-42s %8d %10d %12d %10.3f %9.1e\n" name
+          c.Sacprog.Runner.report.Sac.Pipeline.cycles_used
+          stats.Sac.Eval.with_loops stats.Sac.Eval.elements wall
+          (Sacprog.Runner.max_abs_diff result native);
+        result)
+      configs
+  in
+  let bits t = Array.map Int64.bits_of_float t.Tensor.Nd.data in
+  (match results with
+   | x :: rest
+     when List.for_all
+            (fun y ->
+              Tensor.Nd.shape y = Tensor.Nd.shape x && bits y = bits x)
+            rest ->
      Printf.printf
-       "\n(compiled column: OCaml-backend binary, %dx%d-step Sod checksum \
-        %s -- identical under every flag set; time includes \
-        ocamlopt compilation)\n"
-       compiled_nx compiled_steps x
+       "\n(vm column: %d-cell, %d-step Sod run on the bytecode VM; final \
+        state bitwise identical under every flag set)\n"
+       nx steps
    | _ :: _ ->
-     Printf.printf "\nWARNING: compiled outputs disagree across flags!\n"
+     Printf.printf "\nWARNING: final states disagree across flags!\n"
    | [] -> ());
   Printf.printf
     "\n(-nofoldparallel is the evaluator's default: fold with-loops always \

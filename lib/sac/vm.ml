@@ -124,10 +124,6 @@ type kinstr =
   | KIsel of int * int * int * int
   | KFmov of int * int
   | KImov of int * int
-  | KFmovs of int array * int array
-      (* fr.(dsts.(i)) <- fr.(srcs.(i)) for every i, one dispatch; no
-         source register may also be a destination *)
-  | KImovs of int array * int array
   | KJmp of int
   | KJz of int * int              (* branch when ir.(r) = 0 *)
   | KJnz of int * int
@@ -155,11 +151,6 @@ type kernel = {
       (* column-invariant code: depends only on the innermost index
          dimension.  A sequential walk runs it once per column and
          replays the saved live-out registers on later rows. *)
-  kcolshift : kinstr array;
-      (* Column block for columns after the first of a sequential
-         ascending rank-2 walk: moves replaying values the previous
-         column already computed one index ahead, then the remaining
-         [kcol] instructions.  Equals [kcol] when nothing is shared. *)
   kcode : kinstr array;           (* per-element code *)
   knf : int;
   kni : int;
@@ -503,22 +494,6 @@ let build_thread ?(unchecked = false) (code : kinstr array)
         | KImov (d, a) ->
           fun () ->
             Array.unsafe_set ir d (Array.unsafe_get ir a);
-            next ()
-        | KFmovs (ds, ss) ->
-          let m = Array.length ds in
-          fun () ->
-            for j = 0 to m - 1 do
-              Array.unsafe_set fr (Array.unsafe_get ds j)
-                (Array.unsafe_get fr (Array.unsafe_get ss j))
-            done;
-            next ()
-        | KImovs (ds, ss) ->
-          let m = Array.length ds in
-          fun () ->
-            for j = 0 to m - 1 do
-              Array.unsafe_set ir (Array.unsafe_get ds j)
-                (Array.unsafe_get ir (Array.unsafe_get ss j))
-            done;
             next ()
         | KJmp tg -> fun () -> (Array.unsafe_get t tg) ()
         | KJz (r, tg) ->
@@ -1288,8 +1263,6 @@ let kinstr_reads = function
   | KLoad2 (_, _, _, r0, _, _, r1, _, _) -> ([], [ r0; r1 ])
   | KLoad (_, _, _, dyn) ->
     ([], Array.to_list (Array.map (fun (r, _, _) -> r) dyn))
-  | KFmovs (_, ss) -> (Array.to_list ss, [])
-  | KImovs (_, ss) -> ([], Array.to_list ss)
 
 (* Peephole over a straight-line instruction sequence: fuse a multiply
    whose result feeds exactly one adjacent add/sub into a single
@@ -1350,12 +1323,9 @@ let kinstr_iwrite = function
   | KFimm _ | KFcap _ | KFadd _ | KFsub _ | KFmul _ | KFdiv _ | KFrem _
   | KFmadd _ | KFaddm _ | KFmsub _ | KFsubm _ | KFneg _ | KFabs _
   | KSqrt _ | KExp _ | KLog _ | KPow _ | KFmin _ | KFmax _ | KI2F _
-  | KFsel _ | KFmov _ | KFmovs _ | KJmp _ | KJz _ | KJnz _ | KLoadC _
-  | KLoad1 _ | KLoad2 _ | KLoad _ ->
+  | KFsel _ | KFmov _ | KJmp _ | KJz _ | KJnz _ | KLoadC _ | KLoad1 _
+  | KLoad2 _ | KLoad _ ->
     None
-  (* Multi-write: callers that track int defs (the affine walk) handle
-     this constructor explicitly before consulting [kinstr_iwrite]. *)
-  | KImovs _ -> None
 
 (* Abstract value of an int register during the affine walk.  [ABox]
    carries in-boundedness certificates for min/max-clamped values in
@@ -1488,7 +1458,6 @@ let load_guards ~pre ~col ~code ni =
          let hi = abs_hi va @ abs_hi vb in
          st.(d) <- (if lo = [] && hi = [] then ATop else ABox (lo, hi))
        | KImov (d, s) -> st.(d) <- st.(s)
-       | KImovs (ds, _) -> Array.iter (fun d -> st.(d) <- ATop) ds
        | ins -> (
          match kinstr_iwrite ins with
          | Some d -> st.(d) <- ATop
@@ -1498,605 +1467,14 @@ let load_guards ~pre ~col ~code ni =
          the per-element block), so their fill-time values certify
          bounds for the whole execution. *)
       if inpre then
-        match ins with
-        | KImovs (ds, _) -> Array.iter (fun d -> st.(d) <- APre d) ds
-        | ins -> (
-          match kinstr_iwrite ins with
-          | Some d -> (
-            match st.(d) with ATop -> st.(d) <- APre d | _ -> ())
-          | None -> ())
+        match kinstr_iwrite ins with
+        | Some d -> ( match st.(d) with ATop -> st.(d) <- APre d | _ -> ())
+        | None -> ()
     in
     Array.iter (step ~inpre:true) pre;
     Array.iter (step ~inpre:false) col;
     Array.iter (step ~inpre:false) code;
     if !ok then Some (Array.of_list !gs) else None
-  end
-
-(* Loop-carried column sharing.  Column blocks like the Rusanov flux's
-   evaluate the same quantities at column index j and at j + 1; when
-   the sequential fill walks columns in ascending order, the j-family
-   at column c + 1 is exactly the (j+1)-family computed at column c.
-   [share_columns] detects instruction dags that are equal up to a +1
-   shift of the innermost index and builds an alternative column block
-   for every column after the first: register moves replaying the
-   shifted values, then only the instructions that still need
-   recomputing.  A replayed value was produced by identical
-   instructions over identical cells one column earlier, so results
-   are bitwise unchanged; as with the column-outer walk itself, only
-   the order in which runtime errors inside the range surface can
-   move. *)
-type sym =
-  | SPreF of int                  (* float reg not defined in the block *)
-  | SPreI of int
-  | SConst of int
-  | SAff of int * int             (* idx dimension, offset *)
-  | SOp of string * sym array     (* op tag + operand value dags *)
-
-let cmp_tag = function
-  | Ceq -> "eq"
-  | Cne -> "ne"
-  | Clt -> "lt"
-  | Cle -> "le"
-  | Cgt -> "gt"
-  | Cge -> "ge"
-
-let share_columns ~coldim ~nf ~ni ~pre code =
-  let n = Array.length code in
-  let jumpy =
-    Array.exists
-      (function KJmp _ | KJz _ | KJnz _ | KFmovs _ | KImovs _ -> true
-                | _ -> false)
-      code
-  in
-  if n = 0 || n > 128 || jumpy then code
-  else begin
-    let fsym = Array.init (max 1 nf) (fun r -> SPreF r) in
-    let isym = Array.init (max 1 ni) (fun r -> SPreI r) in
-    (* Seed known integer constants from the invariant prefix so the
-       column block's index arithmetic folds to affine form.  Other
-       prefix-computed registers stay opaque leaves, which is sound:
-       they hold the same value at every column. *)
-    Array.iter
-      (fun ins ->
-        match ins with
-        | KIimm (d, c) -> isym.(d) <- SConst c
-        | KIadd (d, a, b) -> (
-          match (isym.(a), isym.(b)) with
-          | SConst x, SConst y -> isym.(d) <- SConst (x + y)
-          | _ -> ())
-        | KIsub (d, a, b) -> (
-          match (isym.(a), isym.(b)) with
-          | SConst x, SConst y -> isym.(d) <- SConst (x - y)
-          | _ -> ())
-        | KIneg (d, a) -> (
-          match isym.(a) with
-          | SConst x -> isym.(d) <- SConst (-x)
-          | _ -> ())
-        | _ -> ())
-      pre;
-    let fs r = fsym.(r) and is r = isym.(r) in
-    (* Definitions eligible for sharing: (pos, is_float, dest, sym). *)
-    let defs = ref [] in
-    let fdef p d s =
-      fsym.(d) <- s;
-      defs := (p, true, d, s) :: !defs
-    in
-    let idef p d s =
-      isym.(d) <- s;
-      defs := (p, false, d, s) :: !defs
-    in
-    Array.iteri
-      (fun p ins ->
-        match ins with
-        | KFimm (d, x) ->
-          fdef p d (SOp (Printf.sprintf "fi:%Lx" (Int64.bits_of_float x), [||]))
-        | KFcap (d, k) -> fdef p d (SOp (Printf.sprintf "fc:%d" k, [||]))
-        | KFadd (d, a, b) -> fdef p d (SOp ("fa", [| fs a; fs b |]))
-        | KFsub (d, a, b) -> fdef p d (SOp ("fsb", [| fs a; fs b |]))
-        | KFmul (d, a, b) -> fdef p d (SOp ("fm", [| fs a; fs b |]))
-        | KFdiv (d, a, b) -> fdef p d (SOp ("fd", [| fs a; fs b |]))
-        | KFrem (d, a, b) -> fdef p d (SOp ("frm", [| fs a; fs b |]))
-        | KFmadd (d, a, b, c) ->
-          fdef p d (SOp ("fma", [| fs a; fs b; fs c |]))
-        | KFaddm (d, c, a, b) ->
-          fdef p d (SOp ("fam", [| fs c; fs a; fs b |]))
-        | KFmsub (d, a, b, c) ->
-          fdef p d (SOp ("fms", [| fs a; fs b; fs c |]))
-        | KFsubm (d, c, a, b) ->
-          fdef p d (SOp ("fsm", [| fs c; fs a; fs b |]))
-        | KFneg (d, a) -> fdef p d (SOp ("fn", [| fs a |]))
-        | KFabs (d, a) -> fdef p d (SOp ("fab", [| fs a |]))
-        | KSqrt (d, a) -> fdef p d (SOp ("fsq", [| fs a |]))
-        | KExp (d, a) -> fdef p d (SOp ("fex", [| fs a |]))
-        | KLog (d, a) -> fdef p d (SOp ("flg", [| fs a |]))
-        | KPow (d, a, b) -> fdef p d (SOp ("fpw", [| fs a; fs b |]))
-        | KFmin (d, a, b) -> fdef p d (SOp ("fmn", [| fs a; fs b |]))
-        | KFmax (d, a, b) -> fdef p d (SOp ("fmx", [| fs a; fs b |]))
-        | KI2F (d, a) -> fdef p d (SOp ("i2f", [| is a |]))
-        | KFsel (d, c, a, b) ->
-          fdef p d (SOp ("fsl", [| is c; fs a; fs b |]))
-        | KFmov (d, a) -> fdef p d (fs a)
-        | KLoadC (d, ar, off) ->
-          fdef p d (SOp (Printf.sprintf "ldc:%d:%d" ar off, [||]))
-        | KLoad1 (d, ar, base, r, ext) ->
-          fdef p d (SOp (Printf.sprintf "ld1:%d:%d:%d" ar base ext, [| is r |]))
-        | KLoad2 (d, ar, base, r0, e0, s0, r1, e1, s1) ->
-          fdef p d
-            (SOp
-               ( Printf.sprintf "ld2:%d:%d:%d:%d:%d:%d" ar base e0 s0 e1 s1,
-                 [| is r0; is r1 |] ))
-        | KLoad (d, ar, base, dyn) ->
-          let tag =
-            Array.fold_left
-              (fun acc (_, ext, strd) ->
-                acc ^ Printf.sprintf ":%d:%d" ext strd)
-              (Printf.sprintf "ldn:%d:%d" ar base)
-              dyn
-          in
-          fdef p d (SOp (tag, Array.map (fun (r, _, _) -> is r) dyn))
-        | KIimm (d, c) -> isym.(d) <- SConst c
-        | KIcap (d, k) -> idef p d (SOp (Printf.sprintf "ic:%d" k, [||]))
-        | KIv (d, k) -> idef p d (SAff (k, 0))
-        | KIvD (d, r, rank) ->
-          idef p d (SOp (Printf.sprintf "ivd:%d" rank, [| is r |]))
-        | KIadd (d, a, b) -> (
-          match (is a, is b) with
-          | SConst x, SConst y -> isym.(d) <- SConst (x + y)
-          | SAff (k, o), SConst c | SConst c, SAff (k, o) ->
-            idef p d (SAff (k, o + c))
-          | sa, sb -> idef p d (SOp ("ia", [| sa; sb |])))
-        | KIsub (d, a, b) -> (
-          match (is a, is b) with
-          | SConst x, SConst y -> isym.(d) <- SConst (x - y)
-          | SAff (k, o), SConst c -> idef p d (SAff (k, o - c))
-          | sa, sb -> idef p d (SOp ("isb", [| sa; sb |])))
-        | KImul (d, a, b) -> idef p d (SOp ("im", [| is a; is b |]))
-        | KIdiv (d, a, b) -> idef p d (SOp ("id", [| is a; is b |]))
-        | KImod (d, a, b) -> idef p d (SOp ("imd", [| is a; is b |]))
-        | KIneg (d, a) -> idef p d (SOp ("in", [| is a |]))
-        | KIabs (d, a) -> idef p d (SOp ("iab", [| is a |]))
-        | KImin (d, a, b) -> idef p d (SOp ("imn", [| is a; is b |]))
-        | KImax (d, a, b) -> idef p d (SOp ("imx", [| is a; is b |]))
-        | KBnot (d, a) -> idef p d (SOp ("bn", [| is a |]))
-        | KFcmp (c, d, a, b) ->
-          idef p d (SOp ("fcp:" ^ cmp_tag c, [| fs a; fs b |]))
-        | KIcmp (c, d, a, b) ->
-          idef p d (SOp ("icp:" ^ cmp_tag c, [| is a; is b |]))
-        | KIsel (d, c, a, b) ->
-          idef p d (SOp ("isl", [| is c; is a; is b |]))
-        | KImov (d, a) -> idef p d (is a)
-        | KLoadIvC (d, v, pos) ->
-          idef p d (SOp (Printf.sprintf "lvc:%d:%d" v pos, [||]))
-        | KLoadIv (d, v, r, len) ->
-          idef p d (SOp (Printf.sprintf "lv:%d:%d" v len, [| is r |]))
-        | KJmp _ | KJz _ | KJnz _ | KFmovs _ | KImovs _ -> ())
-      code;
-    let defs = Array.of_list (List.rev !defs) in
-    (* [eqs a b]: does dag [b] equal dag [a] advanced one column? *)
-    let rec eqs a b =
-      match (a, b) with
-      | SPreF x, SPreF y | SPreI x, SPreI y -> x = y
-      | SConst x, SConst y -> x = y
-      | SAff (d1, o1), SAff (d2, o2) ->
-        d1 = d2 && o2 = (if d1 = coldim then o1 + 1 else o1)
-      | SOp (t1, xs), SOp (t2, ys) ->
-        String.equal t1 t2
-        && Array.length xs = Array.length ys
-        && (let ok = ref true in
-            Array.iteri (fun i x -> if not (eqs x ys.(i)) then ok := false) xs;
-            !ok)
-      | _ -> false
-    in
-    let skip = Array.make n false in
-    let moves = ref [] in           (* (pos, is_float, dst, src) *)
-    Array.iter
-      (fun (p, isf, d, s) ->
-        let found = ref false in
-        Array.iter
-          (fun (p2, isf2, d2, s2) ->
-            if (not !found) && p2 <> p && isf2 = isf && eqs s s2 then begin
-              found := true;
-              skip.(p) <- true;
-              moves := (p, isf, d, d2) :: !moves
-            end)
-          defs)
-      defs;
-    (* A move must read a register that is recomputed every column, not
-       one that is itself replayed: drop chains until stable. *)
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      moves :=
-        List.filter
-          (fun (p, isf, _, src) ->
-            let src_skipped =
-              Array.exists
-                (fun (p2, isf2, d2, _) -> skip.(p2) && isf2 = isf && d2 = src)
-                defs
-            in
-            if src_skipped then begin
-              skip.(p) <- false;
-              changed := true
-            end;
-            not src_skipped)
-          !moves
-    done;
-    if !moves = [] then code
-    else begin
-      (* Bundle the replay moves into at most one bulk move per
-         register file: one closure dispatch instead of one per value.
-         Sources are unskipped defs so no source is also a destination,
-         making the bundle order-insensitive. *)
-      let fmoves = List.filter (fun (_, isf, _, _) -> isf) !moves in
-      let imoves = List.filter (fun (_, isf, _, _) -> not isf) !moves in
-      let bundle isf = function
-        | [] -> []
-        | [ (_, _, dst, src) ] ->
-          [ (if isf then KFmov (dst, src) else KImov (dst, src)) ]
-        | ms ->
-          let ds = Array.of_list (List.rev_map (fun (_, _, d, _) -> d) ms) in
-          let ss = Array.of_list (List.rev_map (fun (_, _, _, s) -> s) ms) in
-          [ (if isf then KFmovs (ds, ss) else KImovs (ds, ss)) ]
-      in
-      let head = bundle true fmoves @ bundle false imoves in
-      let rest = ref [] in
-      Array.iteri
-        (fun p ins -> if not skip.(p) then rest := ins :: !rest)
-        code;
-      Array.of_list (head @ List.rev !rest)
-    end
-  end
-
-(* Row-specialised per-element threads.  A rank-2 kernel whose first
-   dimension has a small extent (the solver arrays are [3, nx]) runs
-   its per-element block once per (row, column) with the row index
-   taking just a handful of values.  Folding a fixed row value through
-   the block turns the row-index read into a constant, collapses the
-   row-dispatch compare/select chains into register moves, and bakes
-   the row into load base offsets.  Every folded instruction (index
-   reads, compares, selects, moves, immediates) is non-erroring and
-   every load is retained in order with its residual checks, so the
-   specialised block is indistinguishable from the generic one for its
-   row: same values bitwise, same error set and order.  [None] when
-   the block branches, reads index dimensions dynamically, or the row
-   count is too large to be worth caching. *)
-(* Forward copy propagation over a straight-line block: after
-   [KFmov (d, s)], later reads of [d] become reads of [s] until either
-   register is redefined (same for [KImov]).  The moves stay put — the
-   backward dead-store sweep drops the ones that end up unread.  Only
-   operand names change; no instruction moves or disappears here, so
-   values, error set and error order are untouched. *)
-let copy_prop ~nf ~ni code =
-  if Array.exists (function KJmp _ | KJz _ | KJnz _ -> true | _ -> false) code
-  then code
-  else begin
-    let fa = Array.init (max 1 nf) (fun r -> r) in
-    let ia = Array.init (max 1 ni) (fun r -> r) in
-    let df d =
-      Array.iteri (fun j a -> if a = d then fa.(j) <- j) fa;
-      fa.(d) <- d
-    in
-    let di d =
-      Array.iteri (fun j a -> if a = d then ia.(j) <- j) ia;
-      ia.(d) <- d
-    in
-    Array.map
-      (fun ins ->
-        match ins with
-        | KFmov (d, s) ->
-          let s = fa.(s) in
-          df d;
-          if s <> d then fa.(d) <- s;
-          KFmov (d, s)
-        | KImov (d, s) ->
-          let s = ia.(s) in
-          di d;
-          if s <> d then ia.(d) <- s;
-          KImov (d, s)
-        | KFimm (d, _) | KFcap (d, _) | KLoadC (d, _, _) ->
-          df d;
-          ins
-        | KIimm (d, _) | KIcap (d, _) | KIv (d, _) | KLoadIvC (d, _, _) ->
-          di d;
-          ins
-        | KFadd (d, a, b) ->
-          let a = fa.(a) and b = fa.(b) in
-          df d;
-          KFadd (d, a, b)
-        | KFsub (d, a, b) ->
-          let a = fa.(a) and b = fa.(b) in
-          df d;
-          KFsub (d, a, b)
-        | KFmul (d, a, b) ->
-          let a = fa.(a) and b = fa.(b) in
-          df d;
-          KFmul (d, a, b)
-        | KFdiv (d, a, b) ->
-          let a = fa.(a) and b = fa.(b) in
-          df d;
-          KFdiv (d, a, b)
-        | KFrem (d, a, b) ->
-          let a = fa.(a) and b = fa.(b) in
-          df d;
-          KFrem (d, a, b)
-        | KPow (d, a, b) ->
-          let a = fa.(a) and b = fa.(b) in
-          df d;
-          KPow (d, a, b)
-        | KFmin (d, a, b) ->
-          let a = fa.(a) and b = fa.(b) in
-          df d;
-          KFmin (d, a, b)
-        | KFmax (d, a, b) ->
-          let a = fa.(a) and b = fa.(b) in
-          df d;
-          KFmax (d, a, b)
-        | KFneg (d, a) ->
-          let a = fa.(a) in
-          df d;
-          KFneg (d, a)
-        | KFabs (d, a) ->
-          let a = fa.(a) in
-          df d;
-          KFabs (d, a)
-        | KSqrt (d, a) ->
-          let a = fa.(a) in
-          df d;
-          KSqrt (d, a)
-        | KExp (d, a) ->
-          let a = fa.(a) in
-          df d;
-          KExp (d, a)
-        | KLog (d, a) ->
-          let a = fa.(a) in
-          df d;
-          KLog (d, a)
-        | KFmadd (d, a, b, c) ->
-          let a = fa.(a) and b = fa.(b) and c = fa.(c) in
-          df d;
-          KFmadd (d, a, b, c)
-        | KFmsub (d, a, b, c) ->
-          let a = fa.(a) and b = fa.(b) and c = fa.(c) in
-          df d;
-          KFmsub (d, a, b, c)
-        | KFaddm (d, c, a, b) ->
-          let c = fa.(c) and a = fa.(a) and b = fa.(b) in
-          df d;
-          KFaddm (d, c, a, b)
-        | KFsubm (d, c, a, b) ->
-          let c = fa.(c) and a = fa.(a) and b = fa.(b) in
-          df d;
-          KFsubm (d, c, a, b)
-        | KFsel (d, c, a, b) ->
-          let c = ia.(c) and a = fa.(a) and b = fa.(b) in
-          df d;
-          KFsel (d, c, a, b)
-        | KI2F (d, a) ->
-          let a = ia.(a) in
-          df d;
-          KI2F (d, a)
-        | KLoad1 (d, ar, base, r, ext) ->
-          let r = ia.(r) in
-          df d;
-          KLoad1 (d, ar, base, r, ext)
-        | KLoad2 (d, ar, base, r0, e0, s0, r1, e1, s1) ->
-          let r0 = ia.(r0) and r1 = ia.(r1) in
-          df d;
-          KLoad2 (d, ar, base, r0, e0, s0, r1, e1, s1)
-        | KLoad (d, ar, base, dyn) ->
-          let dyn = Array.map (fun (r, e, s) -> (ia.(r), e, s)) dyn in
-          df d;
-          KLoad (d, ar, base, dyn)
-        | KFcmp (c, d, a, b) ->
-          let a = fa.(a) and b = fa.(b) in
-          di d;
-          KFcmp (c, d, a, b)
-        | KIcmp (c, d, a, b) ->
-          let a = ia.(a) and b = ia.(b) in
-          di d;
-          KIcmp (c, d, a, b)
-        | KIadd (d, a, b) ->
-          let a = ia.(a) and b = ia.(b) in
-          di d;
-          KIadd (d, a, b)
-        | KIsub (d, a, b) ->
-          let a = ia.(a) and b = ia.(b) in
-          di d;
-          KIsub (d, a, b)
-        | KImul (d, a, b) ->
-          let a = ia.(a) and b = ia.(b) in
-          di d;
-          KImul (d, a, b)
-        | KIdiv (d, a, b) ->
-          let a = ia.(a) and b = ia.(b) in
-          di d;
-          KIdiv (d, a, b)
-        | KImod (d, a, b) ->
-          let a = ia.(a) and b = ia.(b) in
-          di d;
-          KImod (d, a, b)
-        | KImin (d, a, b) ->
-          let a = ia.(a) and b = ia.(b) in
-          di d;
-          KImin (d, a, b)
-        | KImax (d, a, b) ->
-          let a = ia.(a) and b = ia.(b) in
-          di d;
-          KImax (d, a, b)
-        | KIneg (d, a) ->
-          let a = ia.(a) in
-          di d;
-          KIneg (d, a)
-        | KIabs (d, a) ->
-          let a = ia.(a) in
-          di d;
-          KIabs (d, a)
-        | KBnot (d, a) ->
-          let a = ia.(a) in
-          di d;
-          KBnot (d, a)
-        | KIsel (d, c, a, b) ->
-          let c = ia.(c) and a = ia.(a) and b = ia.(b) in
-          di d;
-          KIsel (d, c, a, b)
-        | KIvD (d, r, x) ->
-          let r = ia.(r) in
-          di d;
-          KIvD (d, r, x)
-        | KLoadIv (d, v, r, len) ->
-          let r = ia.(r) in
-          di d;
-          KLoadIv (d, v, r, len)
-        | KFmovs (ds, ss) ->
-          let ss = Array.map (fun s -> fa.(s)) ss in
-          Array.iter df ds;
-          KFmovs (ds, ss)
-        | KImovs (ds, ss) ->
-          let ss = Array.map (fun s -> ia.(s)) ss in
-          Array.iter di ds;
-          KImovs (ds, ss)
-        | KJmp _ | KJz _ | KJnz _ -> ins)
-      code
-  end
-
-let specialise_rows k l0 nrows =
-  let code = k.kcode in
-  let bad =
-    Array.exists
-      (function KJmp _ | KJz _ | KJnz _ | KIvD _ -> true | _ -> false)
-      code
-  in
-  if bad || nrows < 1 || nrows > 8 then None
-  else begin
-    let specialise rowval =
-      let iconst = Array.make k.kni None in
-      let seed ins =
-        match ins with
-        | KIimm (d, c) -> iconst.(d) <- Some c
-        | KIadd (d, a, b) -> (
-          match (iconst.(a), iconst.(b)) with
-          | Some x, Some y -> iconst.(d) <- Some (x + y)
-          | _ -> ())
-        | KIsub (d, a, b) -> (
-          match (iconst.(a), iconst.(b)) with
-          | Some x, Some y -> iconst.(d) <- Some (x - y)
-          | _ -> ())
-        | KIneg (d, a) -> (
-          match iconst.(a) with
-          | Some x -> iconst.(d) <- Some (-x)
-          | _ -> ())
-        | _ -> ()
-      in
-      Array.iter seed k.kpre;
-      let buf = ref [] in
-      let emit i = buf := i :: !buf in
-      let imm d v =
-        iconst.(d) <- Some v;
-        emit (KIimm (d, v))
-      in
-      Array.iter
-        (fun ins ->
-          let ic r = iconst.(r) in
-          match ins with
-          | KIv (d, 0) -> imm d rowval
-          | KIimm (d, c) -> imm d c
-          | KIadd (d, a, b) -> (
-            match (ic a, ic b) with
-            | Some x, Some y -> imm d (x + y)
-            | _ -> emit ins)
-          | KIsub (d, a, b) -> (
-            match (ic a, ic b) with
-            | Some x, Some y -> imm d (x - y)
-            | _ -> emit ins)
-          | KImul (d, a, b) -> (
-            match (ic a, ic b) with
-            | Some x, Some y -> imm d (x * y)
-            | _ -> emit ins)
-          | KIneg (d, a) -> (
-            match ic a with
-            | Some x -> imm d (-x)
-            | _ -> emit ins)
-          | KIabs (d, a) -> (
-            match ic a with
-            | Some x -> imm d (abs x)
-            | _ -> emit ins)
-          | KBnot (d, a) -> (
-            match ic a with
-            | Some x -> imm d (1 - x)
-            | _ -> emit ins)
-          | KIcmp (c, d, a, b) -> (
-            match (ic a, ic b) with
-            | Some x, Some y ->
-              let t =
-                match c with
-                | Ceq -> x = y
-                | Cne -> x <> y
-                | Clt -> x < y
-                | Cle -> x <= y
-                | Cgt -> x > y
-                | Cge -> x >= y
-              in
-              imm d (if t then 1 else 0)
-            | _ -> emit ins)
-          | KIsel (d, c, a, b) -> (
-            match ic c with
-            | Some v -> (
-              let s = if v <> 0 then a else b in
-              match ic s with
-              | Some x -> imm d x
-              | None -> emit (KImov (d, s)))
-            | None -> emit ins)
-          | KFsel (d, c, a, b) -> (
-            match ic c with
-            | Some v -> emit (KFmov (d, (if v <> 0 then a else b)))
-            | None -> emit ins)
-          | KImov (d, a) -> (
-            match ic a with
-            | Some x -> imm d x
-            | None -> emit ins)
-          | KLoad1 (d, ar, base, r, ext) -> (
-            match ic r with
-            | Some v when v >= 0 && v < ext -> emit (KLoadC (d, ar, base + v))
-            | _ -> emit ins)
-          | KLoad2 (d, ar, base, r0, e0, s0, r1, e1, s1) -> (
-            match ic r0 with
-            | Some v when v >= 0 && v < e0 ->
-              emit (KLoad1 (d, ar, base + (v * s0), r1, e1))
-            | _ -> (
-              match ic r1 with
-              | Some v when v >= 0 && v < e1 ->
-                emit (KLoad1 (d, ar, base + (v * s1), r0, e0))
-              | _ -> emit ins))
-          | _ -> emit ins)
-        code;
-      let arr = copy_prop ~nf:k.knf ~ni:k.kni (Array.of_list (List.rev !buf)) in
-      (* Drop value moves and immediates nothing reads any more. *)
-      let m = Array.length arr in
-      let keep = Array.make m true in
-      let livef = Array.make k.knf false in
-      let livei = Array.make k.kni false in
-      livef.(k.kout) <- true;
-      for p = m - 1 downto 0 do
-        let dead =
-          match arr.(p) with
-          | KIimm (d, _) | KImov (d, _) -> not livei.(d)
-          | KFimm (d, _) | KFmov (d, _) -> not livef.(d)
-          | _ -> false
-        in
-        if dead then keep.(p) <- false
-        else begin
-          let fs, is_ = kinstr_reads arr.(p) in
-          List.iter (fun r -> livef.(r) <- true) fs;
-          List.iter (fun r -> livei.(r) <- true) is_
-        end
-      done;
-      let out = ref [] in
-      for p = m - 1 downto 0 do
-        if keep.(p) then out := arr.(p) :: !out
-      done;
-      Array.of_list !out
-    in
-    Some (Array.init nrows (fun r -> specialise (l0 + r)))
   end
 
 let compile_kernel prog (w : B.wdesc) rank caps =
@@ -2164,15 +1542,9 @@ let compile_kernel prog (w : B.wdesc) rank caps =
       Array.of_list (List.rev !l)
     in
     let kguards = load_guards ~pre:kpre ~col:kcol ~code:kcode kc.ni in
-    let kcolshift =
-      if rank = 2 && Array.length kcol > 0 then
-        share_columns ~coldim:(rank - 1) ~nf:kc.nf ~ni:kc.ni ~pre:kpre kcol
-      else kcol
-    in
     Some
       { kpre;
         kcol;
-        kcolshift;
         kcode;
         knf = max 1 kc.nf;
         kni = max 1 kc.ni;
@@ -2237,11 +1609,7 @@ let kdests code =
        | None -> ());
       (match kinstr_iwrite ins with
        | Some d -> is_ := d :: !is_
-       | None -> ());
-      match ins with
-      | KFmovs (ds, _) -> Array.iter (fun d -> fs := d :: !fs) ds
-      | KImovs (ds, _) -> Array.iter (fun d -> is_ := d :: !is_) ds
-      | _ -> ())
+       | None -> ()))
     code;
   (Array.of_list !fs, Array.of_list !is_)
 
@@ -2269,9 +1637,9 @@ type bstate = {
    holds the same value; [BRamp] — lane [j] holds lane 0's value plus
    [j] (the strip's own index, possibly offset); [BOther] — arbitrary
    per-lane.  Registers are written exactly once across the kernel's
-   blocks (allocation is SSA-like and the batched path never runs the
-   shift block), so one forward pass over [kpre]-dests, [kcol] and
-   [kcode] fixes each register's shape for good. *)
+   blocks (allocation is SSA-like), so one forward pass over
+   [kpre]-dests, [kcol] and [kcode] fixes each register's shape for
+   good. *)
 type bcls = BUnif | BRamp | BOther
 
 let classify_block cls ramp code =
@@ -2294,8 +1662,6 @@ let classify_block cls ramp code =
            | BRamp, BUnif -> BRamp
            | _ -> BOther)
       | KImov (d, a) -> cls.(d) <- cls.(a)
-      | KImovs (ds, ss) ->
-        Array.iteri (fun p d -> cls.(d) <- cls.(ss.(p))) ds
       | KImul (d, a, b) | KIdiv (d, a, b) | KImod (d, a, b)
       | KImin (d, a, b) | KImax (d, a, b) ->
         cls.(d) <-
@@ -2759,26 +2125,6 @@ let build_batch ~ramp ~cls ~fullneed (code : kinstr array)
             Array.blit va 0 vd 0
               (if one then 1 else Array.unsafe_get blen 0);
             next ()
-        | KFmovs (ds, ss) ->
-          let m = Array.length ds in
-          fun () ->
-            for p = 0 to m - 1 do
-              Array.blit
-                bfr.(Array.unsafe_get ss p) 0
-                bfr.(Array.unsafe_get ds p) 0
-                (Array.unsafe_get blen 0)
-            done;
-            next ()
-        | KImovs (ds, ss) ->
-          let m = Array.length ds in
-          fun () ->
-            for p = 0 to m - 1 do
-              Array.blit
-                bir.(Array.unsafe_get ss p) 0
-                bir.(Array.unsafe_get ds p) 0
-                (Array.unsafe_get blen 0)
-            done;
-            next ()
         | KLoadC (d, ar, off) ->
           let vd = bfr.(d) in
           fun () ->
@@ -2972,12 +2318,6 @@ type klane = {
       (* unchecked-load variants, selected per execution when the
          kernel's [kguards] hold for the actual bounds *)
   tcode_u : unit -> unit;
-  tcolsh : unit -> unit;          (* threaded [kcolshift] *)
-  tcolsh_u : unit -> unit;
-  mutable krows : (int * int * bool * (unit -> unit) array option) option;
-      (* row-specialised threads, cached per (low row, row count,
-         guards-elided); [Some (_, _, _, None)] records that the block
-         cannot be specialised for those bounds *)
   mutable kbatch : bstate option;
       (* strip-compiled blocks, built on first use; [kbtried] records
          a kernel whose blocks are not batchable *)
@@ -3200,19 +2540,12 @@ let lane_state ctx entry k rank lane =
     let bk = entry.cbanks in
     let tcol = build_thread k.kcol kfr kir kidx bk in
     let tcode = build_thread k.kcode kfr kir kidx bk in
-    let tcolsh =
-      if k.kcolshift == k.kcol then tcol
-      else build_thread k.kcolshift kfr kir kidx bk
-    in
-    let tcol_u, tcode_u, tcolsh_u =
+    let tcol_u, tcode_u =
       match k.kguards with
-      | None -> (tcol, tcode, tcolsh)
+      | None -> (tcol, tcode)
       | Some _ ->
-        let cu = build_thread ~unchecked:true k.kcol kfr kir kidx bk in
-        ( cu,
-          build_thread ~unchecked:true k.kcode kfr kir kidx bk,
-          if k.kcolshift == k.kcol then cu
-          else build_thread ~unchecked:true k.kcolshift kfr kir kidx bk )
+        ( build_thread ~unchecked:true k.kcol kfr kir kidx bk,
+          build_thread ~unchecked:true k.kcode kfr kir kidx bk )
     in
     let st =
       { kfr;
@@ -3228,9 +2561,6 @@ let lane_state ctx entry k rank lane =
         tcode;
         tcol_u;
         tcode_u;
-        tcolsh;
-        tcolsh_u;
-        krows = None;
         kbatch = None;
         kbtried = false }
     in
@@ -3326,7 +2656,7 @@ let bump_odometer st l u strides =
 
 (* Per-element step without column memoisation: runs the column block
    (usually empty) and the per-element code.  Used by parallel lanes,
-   whose chunks start mid-range, and by kernels with no column code. *)
+   whose chunks start mid-range. *)
 let kelem k st l u strides data flat =
   if flat = st.klast + 1 then bump_odometer st l u strides
   else begin
@@ -3403,26 +2733,6 @@ let guards_hold k kir l u =
           List.exists (List.for_all (fun b -> hi_val b < ext)) alts)
       gs
 
-(* Cached row-specialised threads for the current bounds, or None when
-   the per-element block cannot be specialised. *)
-let row_threads st k bk l u elide =
-  let l0 = l.(0) in
-  let nrows = u.(0) - l.(0) in
-  match st.krows with
-  | Some (a, b, e, ths) when a = l0 && b = nrows && e = elide -> ths
-  | _ ->
-    let ths =
-      match specialise_rows k l0 nrows with
-      | None -> None
-      | Some codes ->
-        Some
-          (Array.map
-             (fun c -> build_thread ~unchecked:elide c st.kfr st.kir st.kidx bk)
-             codes)
-    in
-    st.krows <- Some (l0, nrows, elide, ths);
-    ths
-
 let kernel_fill ctx k entry data shape l u count =
   let rank = Array.length l in
   let strides = Tensor.Shape.strides shape in
@@ -3445,9 +2755,7 @@ let kernel_fill ctx k entry data shape l u count =
            [batch_width] elements of the innermost dimension.  For
            rank 2 the column block runs batched once per strip — each
            lane holds its own column's values, so every row of the
-           strip reads them as vectors and the loop-carried shift
-           block is unnecessary (each column is computed afresh, to
-           bitwise the same values the shift replay would carry). *)
+           strip reads them as vectors. *)
         seed_batch bs st;
         let bout = bs.bfr.(k.kout) in
         let bstart = bs.bstart and blen = bs.blen in
@@ -3556,72 +2864,36 @@ let kernel_fill ctx k entry data shape l u count =
         let tcol = if elide then st.tcol_u else st.tcol in
         let ncols = u.(rank - 1) - l.(rank - 1) in
         let nrows = count / ncols in
-        (if rank = 2 then begin
-           (* Ascending rank-2 walk: columns after the first may run the
-              shift block, replaying previous-column values; the
-              per-element block runs row-specialised threads when the
-              row extent is small enough to fold away. *)
-           let tcolsh = if elide then st.tcolsh_u else st.tcolsh in
-           let s0 = strides.(0) and s1 = strides.(1) in
-           let kidx = st.kidx in
-           match row_threads st k entry.cbanks l u elide with
-           | Some ths ->
-             Array.unsafe_set kidx 0 l.(0);
-             for jc = 0 to ncols - 1 do
-               Array.unsafe_set kidx 1 (l.(1) + jc);
-               if jc = 0 then tcol () else tcolsh ();
-               let off = ref ((l.(0) * s0) + ((l.(1) + jc) * s1)) in
-               for row = 0 to nrows - 1 do
-                 (Array.unsafe_get ths row) ();
-                 Array.unsafe_set data !off (Array.unsafe_get st.kfr k.kout);
-                 off := !off + s0
-               done
-             done
-           | None ->
-             for jc = 0 to ncols - 1 do
-               Array.unsafe_set kidx 0 l.(0);
-               Array.unsafe_set kidx 1 (l.(1) + jc);
-               if jc = 0 then tcol () else tcolsh ();
-               let off = ref ((l.(0) * s0) + ((l.(1) + jc) * s1)) in
-               for _row = 0 to nrows - 1 do
-                 tcode ();
-                 Array.unsafe_set data !off (Array.unsafe_get st.kfr k.kout);
-                 Array.unsafe_set kidx 0 (Array.unsafe_get kidx 0 + 1);
-                 off := !off + s0
-               done
-             done
-         end
-         else
-           for jc = 0 to ncols - 1 do
-             let off = ref 0 in
-             for d = 0 to rank - 2 do
-               st.kidx.(d) <- l.(d);
-               off := !off + (l.(d) * strides.(d))
-             done;
-             st.kidx.(rank - 1) <- l.(rank - 1) + jc;
-             off := !off + ((l.(rank - 1) + jc) * strides.(rank - 1));
-             tcol ();
-             for _row = 0 to nrows - 1 do
-               tcode ();
-               Array.unsafe_set data !off (Array.unsafe_get st.kfr k.kout);
-               let d = ref (rank - 2) in
-               let cont = ref true in
-               while !cont && !d >= 0 do
-                 let dd = !d in
-                 let x = st.kidx.(dd) + 1 in
-                 if x < u.(dd) then begin
-                   st.kidx.(dd) <- x;
-                   off := !off + strides.(dd);
-                   cont := false
-                 end
-                 else begin
-                   st.kidx.(dd) <- l.(dd);
-                   off := !off - ((u.(dd) - 1 - l.(dd)) * strides.(dd));
-                   decr d
-                 end
-               done
-             done
-           done);
+        for jc = 0 to ncols - 1 do
+          let off = ref 0 in
+          for d = 0 to rank - 2 do
+            st.kidx.(d) <- l.(d);
+            off := !off + (l.(d) * strides.(d))
+          done;
+          st.kidx.(rank - 1) <- l.(rank - 1) + jc;
+          off := !off + ((l.(rank - 1) + jc) * strides.(rank - 1));
+          tcol ();
+          for _row = 0 to nrows - 1 do
+            tcode ();
+            Array.unsafe_set data !off (Array.unsafe_get st.kfr k.kout);
+            let d = ref (rank - 2) in
+            let cont = ref true in
+            while !cont && !d >= 0 do
+              let dd = !d in
+              let x = st.kidx.(dd) + 1 in
+              if x < u.(dd) then begin
+                st.kidx.(dd) <- x;
+                off := !off + strides.(dd);
+                cont := false
+              end
+              else begin
+                st.kidx.(dd) <- l.(dd);
+                off := !off - ((u.(dd) - 1 - l.(dd)) * strides.(dd));
+                decr d
+              end
+            done
+          done
+        done;
         st.klast <- min_int
       end
 

@@ -5,7 +5,7 @@
     same error messages, and the same {!Eval.stats} counts.  One
     caveat: inside a single with-loop range the specialised drivers
     may visit elements in a different order than {!Eval}'s row-major
-    walk (column-outer execution, cross-column replay), so when
+    walk (column-outer execution), so when
     several elements of one range would each raise, which error
     surfaces first can differ — the set of possible errors, and
     whether the range errors at all, cannot.

@@ -13,7 +13,8 @@
 # CLI smoke comparing tiled checkpoints against monolithic bytes.
 # The fleet job engine gets a serve-CLI smoke (mixed-batch drain,
 # failed-job isolation, kill -9 crash recovery) and the BENCH_fleet
-# artefact with its 2x batching-speedup floor.
+# artefact with its 2x batching-speedup floor.  The mini-SaC driver
+# gets a sacc smoke running the README's dfDxNoBoundary line.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -33,6 +34,14 @@ dune exec bin/golden.exe -- check --root test/golden
 dune exec bin/eulersim.exe -- sod --nx 32 --steps 5 --backend sacprog \
   >/dev/null || { echo "check.sh: sacprog VM smoke failed" >&2; exit 1; }
 echo "check.sh: sacprog bytecode-VM smoke passed"
+
+# The README's sacc line must run the paper's dfDxNoBoundary kernel and
+# print its value.
+sacc_out=$(dune exec bin/sacc.exe -- dfdx --run dfDxNoBoundary \
+  --arg "[1,4,9,16]" --arg 1.0)
+echo "$sacc_out" | grep -qF 'dfDxNoBoundary([1,4,9,16], 1.0) = [3, 5, 7]' \
+  || { echo "check.sh: sacc smoke failed: $sacc_out" >&2; exit 1; }
+echo "check.sh: sacc smoke passed"
 
 # Hotpath artefact validation (hotpath-v3).  The fold section must be
 # present, bitwise-pinned, fully kernelised and faster than the

@@ -175,6 +175,15 @@ let check_stats label (a : Sac.Eval.stats) (b : Sac.Eval.stats) =
     (tbl_sorted a.Sac.Eval.fold_execs)
     (tbl_sorted b.Sac.Eval.fold_execs)
 
+(* A rank-2 body with a column-invariant block (b[iv[1]] * 2.0) whose
+   row-times-column index is not affine, so no load guard elides: a
+   sequential fill below the 1024-element parallel threshold runs it on
+   the scalar column-outer walk with every load checked. *)
+let col_walk_checked_src =
+  "double[.,.] f(double[.] a, double[.] b, int n) { return (with { \
+   ([0,0] <= iv < [n,n]) : a[iv[0] * iv[1]] + b[iv[1]] * 2.0; } : \
+   genarray([n,n], 0.0)); }"
+
 (* Every shipped program, with entry calls small enough for a quick
    run, plus targeted sources exercising semantics the solvers don't:
    overload dispatch, integer folds, bool/vector kernels, fallback
@@ -228,7 +237,25 @@ let differential_cases =
     ( "builtin-heavy",
       "double f(double[.] v) { return (maxval(fabs(v)) + minval(v) + \
        sum(sqrt(fabs(v)))); }",
-      [ ("f", [ V (darr [ -4.; 9.; -16. ]) ]) ] ) ]
+      [ ("f", [ V (darr [ -4.; 9.; -16. ]) ]) ] );
+    ( "col-walk-branchy",
+      (* rank 2 below the parallel threshold, with a column block
+         (b[iv[1]] * 0.5) and arms that load, so the conditional
+         branches: the per-element block cannot be batched and the
+         sequential column-outer walk runs it. *)
+      "double[.,.] f(double[.] a, double[.] b, int n) { return (with { \
+       ([0,0] <= iv < [n,7]) : (a[iv[0]] > b[iv[1]] * 0.5 ? a[iv[0]] - \
+       b[iv[1] + 1] : b[iv[1]] * a[iv[0]]); } : genarray([n,7], 0.0)); }",
+      [ ( "f",
+          [ V (darr [ 0.1; 0.9; 0.4; 2.0; -1.0 ]);
+            V (darr [ 0.3; 1.5; -0.2; 0.8; 4.0; 0.0; 1.1; 0.6 ]);
+            V (vi 5) ] ) ] );
+    ( "col-walk-checked-loads",
+      col_walk_checked_src,
+      [ ( "f",
+          [ V (darr (List.init 10 (fun i -> float_of_int (i * i) /. 7.)));
+            V (darr [ 1.0; -2.5; 0.25; 3.0 ]);
+            V (vi 4) ] ) ] ) ]
 
 (* Adversarial fold bodies, sized past the test threshold (4) and the
    production default (1024) so the parallel engines genuinely
@@ -382,6 +409,14 @@ let error_cases =
        : v[iv[0] + 100]; } : fold(+, 0.0)); }",
       "f",
       [ darr [ 1.; 2.; 3. ]; vi 8 ] );
+    ( "col-walk-oob",
+      (* [a] is one short: only element [3,3] indexes out of range, so
+         the column-outer visit order cannot change which error
+         surfaces. *)
+      col_walk_checked_src,
+      "f",
+      [ darr (List.init 9 float_of_int); darr [ 1.0; -2.5; 0.25; 3.0 ];
+        vi 4 ] );
     ( "unknown-function",
       "double f(double x) { return (x); }",
       "nope",

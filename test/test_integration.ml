@@ -122,32 +122,6 @@ let test_quadrant_native_features () =
   check_bool "compression above initial max" true
     (Tensor.Nd.maxval (Euler.State.density_field st) > 1.5)
 
-let test_codegen_2d_solver () =
-  (* Stress the OCaml backend with the full 2D solver: compile it and
-     compare a quadrant checksum with the interpreter. *)
-  let src =
-    Sacprog.Programs.euler_2d
-    ^ {|
-double checksum2(int n, int steps) {
-  q = run2(quadrant_init(n), steps, 1.4, 1.0 / (1.0 * n),
-           1.0 / (1.0 * n), 0.5);
-  return (sum(q));
-}
-|}
-  in
-  let prog = Sac.Parser.parse_program src in
-  Sac.Typecheck.check_program prog;
-  let interp =
-    Sac.Value.to_string
-      (Sac.Eval.run_fun (Sac.Eval.make_ctx prog) "checksum2"
-         [ Sac.Value.Vint 8; Sac.Value.Vint 4 ])
-  in
-  match
-    Sac.Codegen.compile_and_run ~entry:"checksum2" ~args:[ "8"; "4" ] prog
-  with
-  | Ok out -> Alcotest.(check string) "compiled = interpreted" interp out
-  | Error msg -> Alcotest.failf "codegen: %s" msg
-
 (* ------------------------------------------------------------------ *)
 (* The Fig. 4 chain: measure -> model -> paper-shaped conclusions      *)
 (* ------------------------------------------------------------------ *)
@@ -350,9 +324,7 @@ let () =
           Alcotest.test_case "poisson recurrence" `Quick
             test_sacprog_poisson_matches_tridiag;
           Alcotest.test_case "quadrant features" `Quick
-            test_quadrant_native_features;
-          Alcotest.test_case "compiled 2D solver" `Slow
-            test_codegen_2d_solver ] );
+            test_quadrant_native_features ] );
       ( "fig4-chain",
         [ Alcotest.test_case "paper-shaped predictions" `Quick
             test_fig4_shape ] );

@@ -890,108 +890,6 @@ let test_stdlib_optimises () =
   check_int "fused to one fold" 1 (Sac.Eval.stats ctx).Sac.Eval.with_loops
 
 (* ------------------------------------------------------------------ *)
-(* Compiled backend                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Each test compiles a generated OCaml program with the ambient
-   toolchain and compares its stdout with the interpreter's printed
-   value for identical arguments. *)
-let interp_output src entry values =
-  let prog = Sac.Parser.parse_program src in
-  Sac.Typecheck.check_program prog;
-  Sac.Value.to_string
-    (Sac.Eval.run_fun (Sac.Eval.make_ctx prog) entry values)
-
-let compiled_output ?(optimise = false) src entry args =
-  let prog = Sac.Parser.parse_program src in
-  let prog =
-    if optimise then fst (Sac.Pipeline.optimize prog) else prog
-  in
-  match Sac.Codegen.compile_and_run ~entry ~args prog with
-  | Ok out -> out
-  | Error msg -> Alcotest.failf "codegen: %s" msg
-
-let test_codegen_dfdx () =
-  let out =
-    compiled_output Sacprog.Programs.df_dx_no_boundary "dfDxNoBoundary"
-      [ "[1,4,9,16]"; "2.0" ]
-  in
-  Alcotest.(check string) "matches interpreter"
-    (interp_output Sacprog.Programs.df_dx_no_boundary "dfDxNoBoundary"
-       [ darr [ 1.; 4.; 9.; 16. ]; Sac.Value.Vdbl 2. ])
-    out
-
-let test_codegen_getdt_optimised () =
-  (* Through the full pipeline first: the generated code contains the
-     fused fold with-loop. *)
-  let out =
-    compiled_output ~optimise:true Sacprog.Programs.get_dt "getDt"
-      [ "[0.5,-1.0]"; "[1,1]"; "[1,0.5]"; "1.4"; "0.01"; "0.5" ]
-  in
-  Alcotest.(check string) "matches interpreter"
-    (interp_output Sacprog.Programs.get_dt "getDt"
-       [ darr [ 0.5; -1. ]; darr [ 1.; 1. ]; darr [ 1.; 0.5 ];
-         Sac.Value.Vdbl 1.4; Sac.Value.Vdbl 0.01; Sac.Value.Vdbl 0.5 ])
-    out
-
-let test_codegen_for_loops () =
-  (* The Poisson program exercises for-loop recurrences and
-     functional updates. *)
-  let args = [ "[1,2,3,4,5]"; "0.25" ] in
-  let out = compiled_output Sacprog.Programs.poisson_1d "poisson1d" args in
-  Alcotest.(check string) "matches interpreter"
-    (interp_output Sacprog.Programs.poisson_1d "poisson1d"
-       [ darr [ 1.; 2.; 3.; 4.; 5. ]; Sac.Value.Vdbl 0.25 ])
-    out
-
-let test_codegen_solver_checksum () =
-  (* A short Sod run through the compiled 1D solver. *)
-  let src =
-    Sacprog.Programs.euler_1d
-    ^ {|
-double checksum(int n, int steps) {
-  q = run(sod_init(n), steps, 1.4, 1.0 / (1.0 * n), 0.5);
-  return (sum(q));
-}
-|}
-  in
-  let out = compiled_output src "checksum" [ "24"; "6" ] in
-  Alcotest.(check string) "matches interpreter"
-    (interp_output src "checksum" [ Sac.Value.Vint 24; Sac.Value.Vint 6 ])
-    out
-
-let test_codegen_overloads () =
-  (* Dispatch happens in generated code: the vector instance for a
-     rank-1 argument, the rank-generic fallback (marker +1000) for a
-     scalar. *)
-  let out v = compiled_output overload_src "norm" [ v ] in
-  Alcotest.(check string) "vector instance" "4" (out "[3,-4]");
-  Alcotest.(check string) "fallback instance" "1003" (out "3.0");
-  (* The matrix instance via a wrapper that builds a 2D value. *)
-  let src =
-    overload_src
-    ^ {|
-double via_matrix(double[.] row) {
-  m = with { ([0, 0] <= iv < [1, 2]) : row[iv[1]]; }
-      : genarray([1, 2], 0.0);
-  return (norm(m));
-}
-|}
-  in
-  Alcotest.(check string) "matrix instance" "5"
-    (compiled_output src "via_matrix" [ "[3,4]" ])
-
-let test_codegen_rejects_unsupported () =
-  let src =
-    "double f(bool c) { if (c) { return (1.0); } x = 2.0; return (x); }"
-  in
-  Alcotest.(check bool) "mixed-return if rejected" true
-    (try
-       ignore (Sac.Codegen.emit_program (Sac.Parser.parse_program src));
-       false
-     with Sac.Codegen.Unsupported _ -> true)
-
-(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1183,14 +1081,4 @@ let () =
           Alcotest.test_case "basics" `Quick test_stdlib_basics;
           Alcotest.test_case "matmul" `Quick test_stdlib_matmul;
           Alcotest.test_case "optimises" `Quick test_stdlib_optimises ] );
-      ( "codegen",
-        [ Alcotest.test_case "dfdx" `Slow test_codegen_dfdx;
-          Alcotest.test_case "getdt optimised" `Slow
-            test_codegen_getdt_optimised;
-          Alcotest.test_case "for loops" `Slow test_codegen_for_loops;
-          Alcotest.test_case "solver checksum" `Slow
-            test_codegen_solver_checksum;
-          Alcotest.test_case "overloads" `Slow test_codegen_overloads;
-          Alcotest.test_case "rejects unsupported" `Quick
-            test_codegen_rejects_unsupported ] );
       ("properties", qcheck_cases) ]
