@@ -822,8 +822,8 @@ let hotpath () =
    schedulers and lane counts, with the fused multi-phase path and the
    per-loop path both timed.  This is the runtime half of the paper's
    with-loop-folding story: the SPMD pool runs a whole fused RK stage
-   as one dispatch, the fork/join scheduler pays one spawn/join per
-   loop exactly as per-loop auto-parallelisation would, and the
+   as one dispatch, the fork/join scheduler pays one fork/join region
+   per loop exactly as per-loop auto-parallelisation would, and the
    difference is a printed number.  On a single-core host the lane
    sweep degenerates to lanes = 1 unless --lanes asks for more; the
    artefact still records the per-scheduler region counts, which are
@@ -930,7 +930,7 @@ let scaling () =
        (su.s_ms_per_step /. sf.s_ms_per_step);
      Printf.printf
        "fork/join(%d) cannot fold: %.2f regions/step on the same fused \
-        solver (one spawn/join per loop)\n"
+        solver (one fork/join region per loop)\n"
        lanes_max fj.s_regions_per_step
    | _ -> ());
   let oc = open_out (path "BENCH_scaling.json") in

@@ -157,8 +157,9 @@ let face_flux s ~ol ~or_ ~unl ~unr ~utl ~utr k_mn k_mt =
    numerics as Euler.Rhs.line_fluxes, written face-at-a-time the way
    the original Fortran organises it.  [offset_of s'] gives the flat
    offset of stencil cell s' (0 .. width-1) around the face; [k_n] is
-   the conserved index of the normal momentum. *)
-let face_flux_highorder t ~offset_of ~k_n ~f =
+   the conserved index of the normal momentum.  All scratch is local to
+   the face: faces of one row run on different lanes. *)
+let face_flux_highorder t ~offset_of ~k_n =
   let s = t.storage in
   let gamma = s.gam in
   let k_t = if k_n = 1 then 2 else 1 in
@@ -184,7 +185,8 @@ let face_flux_highorder t ~offset_of ~k_n ~f =
   and wl = Array.make 4 0.
   and wr = Array.make 4 0.
   and ql = Array.make 4 0.
-  and qr = Array.make 4 0. in
+  and qr = Array.make 4 0.
+  and f = Array.make 4 0. in
   for s' = 0 to width - 1 do
     let o = offset_of s' in
     qs.(0) <- s.qc.(0).(o);
@@ -238,7 +240,6 @@ let flux_x t exec =
   let half = Euler.Recon.stencil_width t.recon / 2 in
   nest ~region:Parallel.Exec.Rhs t exec ~iy_min:0
     ~iy_max:(g.Euler.Grid.ny - 1) (fun iy ->
-      let f = Array.make 4 0. in
       row ~region:Parallel.Exec.Rhs t exec ~ix_min:(-1)
         ~ix_max:(g.Euler.Grid.nx - 1) (fun ix ->
           let ol = Euler.Grid.offset g ix iy in
@@ -253,7 +254,7 @@ let flux_x t exec =
               face_flux_highorder t
                 ~offset_of:(fun s' ->
                   Euler.Grid.offset g (ix - half + 1 + s') iy)
-                ~k_n:1 ~f
+                ~k_n:1
           in
           s.fx.(0).(ol) <- f0;
           s.fx.(k1).(ol) <- f1;
@@ -270,7 +271,6 @@ let flux_y t exec =
   let half = Euler.Recon.stencil_width t.recon / 2 in
   nest ~region:Parallel.Exec.Rhs t exec ~iy_min:(-1)
     ~iy_max:(g.Euler.Grid.ny - 1) (fun iy ->
-      let f = Array.make 4 0. in
       row ~region:Parallel.Exec.Rhs t exec ~ix_min:0
         ~ix_max:(g.Euler.Grid.nx - 1) (fun ix ->
           let ol = Euler.Grid.offset g ix iy in
@@ -285,7 +285,7 @@ let flux_y t exec =
               face_flux_highorder t
                 ~offset_of:(fun s' ->
                   Euler.Grid.offset g ix (iy - half + 1 + s'))
-                ~k_n:2 ~f
+                ~k_n:2
           in
           s.fy.(0).(ol) <- f0;
           s.fy.(k1).(ol) <- f1;

@@ -185,7 +185,7 @@ let parallel_phases t phases =
         (fun ~phase ~lane -> phase_chunk phases.(phase) ~lanes ~lane)
     | Fork_join_sched lanes ->
       (* The OpenMP model cannot fold barriers: each phase pays its
-         own spawn/join region.  Keeping that cost visible is the
+         own fork/join region.  Keeping that cost visible is the
          point of the comparison. *)
       Array.iter
         (fun p ->
@@ -259,20 +259,16 @@ let parallel_reduce_max ?(region = Reduce) t ~lo ~hi body =
               reduce_chunk body (Chunk.chunk_of ~lo ~hi ~parts ~which:lane));
         Array.fold_left Float.max Float.neg_infinity partial
       | Fork_join_sched parts ->
-        (* Clamp the team to the iteration count: a shorter range would
-           otherwise spawn domains that only ever see empty chunks. *)
-        let parts = min parts (hi - lo) in
-        let partial = Array.make parts Float.neg_infinity in
-        let spawned =
-          Array.init (parts - 1) (fun k ->
-              Domain.spawn (fun () ->
-                  partial.(k + 1) <-
-                    reduce_chunk body
-                      (Chunk.chunk_of ~lo ~hi ~parts ~which:(k + 1))))
+        (* Lane slots [lane_pad] floats apart, as in
+           [parallel_reduce_lanes]; each lane folds its static chunk
+           in index order, exactly as [reduce_chunk] does. *)
+        let partial =
+          Array.make (min parts (hi - lo) * lane_pad) Float.neg_infinity
         in
-        partial.(0) <-
-          reduce_chunk body (Chunk.chunk_of ~lo ~hi ~parts ~which:0);
-        Array.iter Domain.join spawned;
+        Fork_join.parallel_for_lanes ~lanes:parts ~lo ~hi (fun ~lane i ->
+            let v = body i in
+            if v > partial.(lane * lane_pad) then
+              partial.(lane * lane_pad) <- v);
         Array.fold_left Float.max Float.neg_infinity partial
     in
     let ns = Clock.now_ns () -. t0 in

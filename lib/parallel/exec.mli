@@ -46,7 +46,10 @@ val spmd : lanes:int -> t
 (** SPMD pool scheduler (see {!Pool}).  Call {!shutdown} when done. *)
 
 val fork_join : lanes:int -> t
-(** Per-region spawn/join scheduler (see {!Fork_join}). *)
+(** Per-loop fork/join scheduler on the process-wide hot team (see
+    {!Fork_join}): workers spin, then park, between regions; a region
+    issued while the team is busy runs inline as a team of one.
+    Creating one spawns nothing, and {!shutdown} is a no-op for it. *)
 
 val lanes : t -> int
 (** Number of execution lanes (1 for {!sequential}). *)
@@ -98,7 +101,7 @@ val parallel_phases : t -> phase array -> unit
       instead of returning to the orchestrator between phases;
     - under {!sequential} the phases run inline as one counted region
       (the instrumentation pass);
-    - under {!fork_join} each non-empty phase pays its own spawn/join
+    - under {!fork_join} each non-empty phase pays its own fork/join
       region, exactly as per-loop OpenMP auto-parallelisation would —
       the model deliberately cannot fold.
 
@@ -141,8 +144,8 @@ val parallel_reduce_max :
     returns [neg_infinity] on an empty range.  Each lane folds its
     chunk locally; partial results are combined after the barrier.
     Charged to the [Reduce] bucket by default.  Under the fork/join
-    scheduler the spawned team is clamped to the iteration count, so
-    a short range never spawns domains with empty chunks. *)
+    scheduler the team is clamped to the iteration count, so a short
+    range never wakes workers with empty chunks. *)
 
 val timed : t -> region -> (unit -> 'a) -> 'a
 (** [timed t region f] runs [f] inline, charging its wall time to

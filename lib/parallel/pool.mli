@@ -3,9 +3,10 @@
     This models the SaC Pthread backend the paper credits for its
     scalability: worker threads are created {e once}, parked on a spin
     loop, and released by a shared-memory flag — no kernel call on the
-    critical path of a parallel region.  Contrast {!Fork_join}, which
-    pays thread creation and kernel-level joins per region, as the
-    OpenMP-style auto-parallelised Fortran does.
+    critical path of a parallel region, and one dispatch can carry
+    several phases ({!run_phases}).  Contrast {!Fork_join}, which
+    pays a full fork and join for every loop, as the OpenMP-style
+    auto-parallelised Fortran does.
 
     The pool runs on real OCaml domains, so on a machine with [c]
     hardware cores at most [c] lanes run truly concurrently; lane

@@ -2339,13 +2339,19 @@ type ctx = {
   parallel_threshold : int;
   kernels : bool;
   kcaches : centry list ref array;  (* indexed by w_id *)
-  wexecs : int array;
-      (* per-descriptor with-execution counts (indexed by w_id),
-         flushed into [st.with_execs] by {!stats}: bumping an int here
-         is far cheaper than a string-keyed Hashtbl update on every
-         with-loop of the hot path *)
-  fexecs : int array;             (* fold subset, same scheme *)
+  (* Statistics.  Generic bodies run inside parallel lanes, and a body
+     may execute nested with-loops and function calls, so every count
+     such a body can reach is an atomic; {!stats} flushes them into
+     [st].  Indexed counters also spare the hot path a string-keyed
+     Hashtbl update. *)
+  wexecs : int Atomic.t array;    (* with-executions, by w_id *)
+  fexecs : int Atomic.t array;    (* fold subset, same scheme *)
+  fcalls : int Atomic.t array;    (* calls, by function index *)
+  loops : int Atomic.t;           (* with-loops and builtin array ops *)
+  elems : int Atomic.t;           (* their element counts *)
   nlanes : int;
+  (* Only the orchestrating domain reaches these two: [get_kernel]
+     refuses calls from inside a parallel region. *)
   mutable wgen : int;             (* with-execution counter *)
   mutable kfolds : int;           (* fold executions on the kernel path *)
 }
@@ -2362,36 +2368,49 @@ let make_ctx ?exec ?(parallel_threshold = 1024) ?(kernels = true) bc =
     parallel_threshold;
     kernels;
     kcaches = Array.init (Array.length bc.B.withs) (fun _ -> ref []);
-    wexecs = Array.make (Array.length bc.B.withs) 0;
-    fexecs = Array.make (Array.length bc.B.withs) 0;
+    wexecs = Array.init (Array.length bc.B.withs) (fun _ -> Atomic.make 0);
+    fexecs = Array.init (Array.length bc.B.withs) (fun _ -> Atomic.make 0);
+    fcalls = Array.init (Array.length bc.B.funcs) (fun _ -> Atomic.make 0);
+    loops = Atomic.make 0;
+    elems = Atomic.make 0;
     nlanes = (match exec with Some e -> Parallel.Exec.lanes e | None -> 1);
     wgen = 0;
     kfolds = 0 }
 
-(* Flush the per-descriptor execution counters into the string-keyed
-   stats tables (and zero them, so repeated calls keep accumulating
-   correctly). *)
+(* Flush the counters into [st] (and zero them, so repeated calls
+   keep accumulating correctly).  [flush] returns the total it moved. *)
 let stats ctx =
-  let flush counts tbl =
+  let st = ctx.st in
+  let flush counts name tbl =
+    let total = ref 0 in
     Array.iteri
-      (fun wid n ->
+      (fun i c ->
+        let n = Atomic.exchange c 0 in
         if n > 0 then begin
-          let name = ctx.bc.B.withs.(wid).B.w_fun in
-          (match Hashtbl.find_opt tbl name with
-           | Some m -> Hashtbl.replace tbl name (m + n)
-           | None -> Hashtbl.add tbl name n);
-          counts.(wid) <- 0
+          let k = name i in
+          (match Hashtbl.find_opt tbl k with
+           | Some m -> Hashtbl.replace tbl k (m + n)
+           | None -> Hashtbl.add tbl k n);
+          total := !total + n
         end)
-      counts
+      counts;
+    !total
   in
-  flush ctx.wexecs ctx.st.Eval.with_execs;
-  flush ctx.fexecs ctx.st.Eval.fold_execs;
-  ctx.st
+  let w_fun w = ctx.bc.B.withs.(w).B.w_fun in
+  ignore (flush ctx.wexecs w_fun st.Eval.with_execs);
+  ignore (flush ctx.fexecs w_fun st.Eval.fold_execs);
+  st.Eval.calls <-
+    st.Eval.calls
+    + flush ctx.fcalls (fun f -> ctx.bc.B.funcs.(f).B.f_name)
+        st.Eval.fun_calls;
+  st.Eval.with_loops <- st.Eval.with_loops + Atomic.exchange ctx.loops 0;
+  st.Eval.elements <- st.Eval.elements + Atomic.exchange ctx.elems 0;
+  st
 let fold_kernel_execs ctx = ctx.kfolds
 
 let note ctx n =
-  ctx.st.Eval.with_loops <- ctx.st.Eval.with_loops + 1;
-  ctx.st.Eval.elements <- ctx.st.Eval.elements + n
+  Atomic.incr ctx.loops;
+  ignore (Atomic.fetch_and_add ctx.elems n)
 
 (* Cache key: frame rank, then each capture's kind (and shape — load
    offsets and strides are baked into the kernel). *)
@@ -3077,15 +3096,14 @@ and call_fn ctx ~par fi args =
     err
       (Printf.sprintf "%s expects %d arguments, got %d" f.B.f_name
          f.B.f_params n);
-  ctx.st.Eval.calls <- ctx.st.Eval.calls + 1;
-  Eval.tally ctx.st.Eval.fun_calls f.B.f_name;
+  Atomic.incr ctx.fcalls.(fi);
   let frame = Array.make f.B.f_slots (Value.Vint 0) in
   List.iteri (fun j v -> frame.(j) <- v) args;
   let stack = Array.make f.B.f_stack (Value.Vint 0) in
   run_code ctx ~par f.B.f_name f.B.f_code frame stack
 
 and exec_genarray ctx ~par w frame lb ub shp dflt =
-  ctx.wexecs.(w.B.w_id) <- ctx.wexecs.(w.B.w_id) + 1;
+  Atomic.incr ctx.wexecs.(w.B.w_id);
   let l, u = frame_of lb ub in
   let count = frame_size l u in
   note ctx count;
@@ -3110,7 +3128,7 @@ and exec_genarray ctx ~par w frame lb ub shp dflt =
   Value.Vdarr (Tensor.Nd.of_array shape data)
 
 and exec_modarray ctx ~par w frame lb ub src =
-  ctx.wexecs.(w.B.w_id) <- ctx.wexecs.(w.B.w_id) + 1;
+  Atomic.incr ctx.wexecs.(w.B.w_id);
   let l, u = frame_of lb ub in
   let count = frame_size l u in
   note ctx count;
@@ -3134,8 +3152,8 @@ and exec_modarray ctx ~par w frame lb ub src =
   Value.Vdarr (Tensor.Nd.of_array shape data)
 
 and exec_fold ctx ~par w frame op lb ub neutral =
-  ctx.wexecs.(w.B.w_id) <- ctx.wexecs.(w.B.w_id) + 1;
-  ctx.fexecs.(w.B.w_id) <- ctx.fexecs.(w.B.w_id) + 1;
+  Atomic.incr ctx.wexecs.(w.B.w_id);
+  Atomic.incr ctx.fexecs.(w.B.w_id);
   let l, u = frame_of lb ub in
   let count = frame_size l u in
   note ctx count;

@@ -14,7 +14,8 @@
 # The fleet job engine gets a serve-CLI smoke (mixed-batch drain,
 # failed-job isolation, kill -9 crash recovery) and the BENCH_fleet
 # artefact with its 2x batching-speedup floor.  The mini-SaC driver
-# gets a sacc smoke running the README's dfDxNoBoundary line.
+# gets a sacc smoke running the README's dfDxNoBoundary line, and the
+# fork/join scheduler a CLI smoke pinning it to the sequential march.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -25,6 +26,10 @@ dune exec bench/main.exe -- fig1 --quick
 # Checkpoint/restart: deterministic resume, torn-write fallback and
 # kill -9 survival, all through the CLI.
 sh scripts/ckpt_smoke.sh
+
+# Fork/join end to end: the hot team must reproduce the sequential
+# march bit for bit.
+sh scripts/forkjoin_smoke.sh
 
 # The committed golden store must match what the backends compute now.
 dune exec bin/golden.exe -- check --root test/golden

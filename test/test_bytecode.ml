@@ -230,6 +230,16 @@ let differential_cases =
        (with { ([0] <= jv < [n]) : 1.0 * (iv[0] + jv[0]); } : fold(+, \
        0.0)); } : genarray([n,n], 0.0)); }",
       [ ("f", [ V (vi 7) ]) ] );
+    ( "nested-with-48",
+      (* The same nest at 2,304 outer elements: under the parallel
+         engine every lane runs inner with-loops and function calls
+         concurrently, so unsynchronised statistics lose updates on
+         almost every run. *)
+      "double g(double x) { return (x + 1.0); } double[.,.] f(int n) { \
+       return (with { ([0,0] <= iv < [n,n]) : (with { ([0] <= jv < [n]) \
+       : g(1.0 * (iv[0] + jv[0])); } : fold(+, 0.0)); } : genarray([n,n], \
+       0.0)); }",
+      [ ("f", [ V (vi 48) ]) ] );
     ( "modarray",
       "double[.] f(double[.] v) { return (with { ([1] <= iv < [3]) : \
        v[iv] * 10.0; } : modarray(v)); }",

@@ -106,22 +106,36 @@ let test_autopar_granularities_agree () =
 
 let test_parallel_backends_agree () =
   (* Running the baseline through real SPMD and fork/join backends
-     changes nothing numerically. *)
-  let run exec =
-    let p = Euler.Setup.sod ~nx:40 () in
-    let f =
-      Fortran_baseline.F_solver.of_problem
-        ~autopar:Fortran_baseline.F_solver.Outer p
-    in
-    Fortran_baseline.F_solver.run_steps f exec 15;
-    Parallel.Exec.shutdown exec;
-    Fortran_baseline.F_solver.state f
-  in
-  let a = run (seq ()) in
-  let b = run (Parallel.Exec.spmd ~lanes:2) in
-  let c = run (Parallel.Exec.fork_join ~lanes:2) in
-  check_float "spmd equals seq" 0. (Euler.State.max_abs_diff a b);
-  check_float "fork/join equals seq" 0. (Euler.State.max_abs_diff a c)
+     changes nothing numerically: at the outer granularity, and with
+     per-row regions (the default [Inner]) on the high-order path,
+     where the lanes of one row must not share flux scratch. *)
+  List.iter
+    (fun (label, problem, autopar, config, steps) ->
+      let run exec =
+        let f =
+          Fortran_baseline.F_solver.of_problem ~autopar ~config (problem ())
+        in
+        Fortran_baseline.F_solver.run_steps f exec steps;
+        Parallel.Exec.shutdown exec;
+        Fortran_baseline.F_solver.state f
+      in
+      let a = run (seq ()) in
+      let b = run (Parallel.Exec.spmd ~lanes:2) in
+      let c = run (Parallel.Exec.fork_join ~lanes:2) in
+      check_float (label ^ ": spmd equals seq") 0.
+        (Euler.State.max_abs_diff a b);
+      check_float (label ^ ": fork/join equals seq") 0.
+        (Euler.State.max_abs_diff a c))
+    [ ( "sod, outer",
+        (fun () -> Euler.Setup.sod ~nx:40 ()),
+        Fortran_baseline.F_solver.Outer,
+        Euler.Solver.benchmark_config,
+        15 );
+      ( "two-channel weno3, inner",
+        (fun () -> Euler.Setup.two_channel ~cells_per_h:6 ()),
+        Fortran_baseline.F_solver.Inner,
+        Euler.Solver.default_config,
+        10 ) ]
 
 let test_equiv_full_menu () =
   (* The baseline accepts the complete scheme menu; each combination

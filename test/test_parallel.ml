@@ -252,6 +252,71 @@ let test_fork_join_region_count () =
   Parallel.Fork_join.parallel_for ~lanes:2 ~lo:0 ~hi:0 ignore;
   check_int "regions" 7 (Parallel.Fork_join.regions_executed ())
 
+(* Run one region over [0, n) and check every index ran exactly once,
+   on a lane inside the clamped team. *)
+let check_region_cover label ~lanes n =
+  let hits = Array.init n (fun _ -> Atomic.make 0) in
+  let bad_lane = Atomic.make (-1) in
+  Parallel.Fork_join.parallel_for_lanes ~lanes ~lo:0 ~hi:n (fun ~lane i ->
+      if lane < 0 || lane >= min lanes n then Atomic.set bad_lane lane;
+      Atomic.incr hits.(i));
+  check_int (label ^ ": lane ids in range") (-1) (Atomic.get bad_lane);
+  Array.iteri
+    (fun i h -> check_int (Printf.sprintf "%s: index %d" label i) 1
+        (Atomic.get h))
+    hits
+
+let test_fork_join_exception () =
+  (* i = 75 lands on worker lane 1, i = 10 on the caller's chunk. *)
+  List.iter
+    (fun bad ->
+      let raised =
+        try
+          Parallel.Fork_join.parallel_for ~lanes:2 ~lo:0 ~hi:100 (fun i ->
+              if i = bad then raise (Boom i));
+          false
+        with Boom i -> i = bad
+      in
+      check_bool (Printf.sprintf "Boom %d re-raised" bad) true raised;
+      check_region_cover (Printf.sprintf "after Boom %d" bad) ~lanes:2 100)
+    [ 75; 10 ]
+
+let test_fork_join_nested_inline () =
+  (* The team is busy running the outer region, so every inner region
+     runs inline on whichever lane issued it: lane 0, full range. *)
+  let inner_hits = Atomic.make 0 in
+  let inner_lanes = Atomic.make 0 in
+  Parallel.Fork_join.parallel_for_lanes ~lanes:2 ~lo:0 ~hi:6
+    (fun ~lane:_ _ ->
+      Parallel.Fork_join.parallel_for_lanes ~lanes:2 ~lo:0 ~hi:10
+        (fun ~lane _ ->
+          Atomic.incr inner_hits;
+          if lane <> 0 then Atomic.incr inner_lanes));
+  check_int "every inner index ran" 60 (Atomic.get inner_hits);
+  check_int "inner regions ran as a team of one" 0 (Atomic.get inner_lanes)
+
+let test_fork_join_varying_lanes () =
+  (* Lane counts shrinking and growing back to back: a worker must not
+     run a region it is not part of, nor one region twice. *)
+  for round = 1 to 50 do
+    List.iter
+      (fun lanes ->
+        check_region_cover
+          (Printf.sprintf "round %d, %d lanes" round lanes)
+          ~lanes 37)
+      [ 3; 2; 8; 2 ]
+  done
+
+let test_fork_join_team_bounded () =
+  (* Execs are never shut down; the team is shared and only grows to
+     the largest request (8 lanes in this suite). *)
+  for _ = 1 to 200 do
+    let ex = Parallel.Exec.fork_join ~lanes:2 in
+    Parallel.Exec.parallel_for ex ~lo:0 ~hi:4 ignore
+  done;
+  let d = Parallel.Fork_join.team_domains () in
+  check_bool (Printf.sprintf "team has %d domains" d) true (d >= 1 && d <= 7)
+
 (* ------------------------------------------------------------------ *)
 (* Exec                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -696,7 +761,15 @@ let () =
       ( "fork_join",
         [ Alcotest.test_case "correct" `Quick test_fork_join_correct;
           Alcotest.test_case "region count" `Quick
-            test_fork_join_region_count ] );
+            test_fork_join_region_count;
+          Alcotest.test_case "exception re-raised" `Quick
+            test_fork_join_exception;
+          Alcotest.test_case "nested region inline" `Quick
+            test_fork_join_nested_inline;
+          Alcotest.test_case "varying lane counts" `Quick
+            test_fork_join_varying_lanes;
+          Alcotest.test_case "team bounded" `Quick
+            test_fork_join_team_bounded ] );
       ( "exec",
         [ Alcotest.test_case "parallel_for" `Quick test_exec_parallel_for;
           Alcotest.test_case "reduce max" `Quick test_exec_reduce_max;
