@@ -721,7 +721,6 @@ let hotpath () =
   in
   let par_exec = Parallel.Exec.spmd ~lanes:fold_lanes in
   let par_val, par_ms, _, par_kfolds = fold_time (Some par_exec) in
-  Parallel.Exec.shutdown par_exec;
   let fold_bitwise =
     Sac.Value.equal seq_val par_val && Sac.Value.equal seq_val base_val
   in
@@ -821,9 +820,9 @@ let hotpath () =
 (* Measured (not modelled) scaling of the reference solver across
    schedulers and lane counts, with the fused multi-phase path and the
    per-loop path both timed.  This is the runtime half of the paper's
-   with-loop-folding story: the SPMD pool runs a whole fused RK stage
-   as one dispatch, the fork/join scheduler pays one fork/join region
-   per loop exactly as per-loop auto-parallelisation would, and the
+   with-loop-folding story: the SPMD scheduler runs a whole fused RK
+   stage as one dispatch, the fork/join scheduler pays one fork/join
+   region per loop exactly as per-loop auto-parallelisation would, and the
    difference is a printed number.  On a single-core host the lane
    sweep degenerates to lanes = 1 unless --lanes asks for more; the
    artefact still records the per-scheduler region counts, which are
@@ -862,7 +861,6 @@ let scaling_measure ~kind ~lanes ~fused ~cells_per_h ~steps =
   let regions = Parallel.Exec.regions exec in
   let g = (Engine.Backend.state inst).Euler.State.grid in
   let cells = g.Euler.Grid.nx * g.Euler.Grid.ny in
-  Parallel.Exec.shutdown exec;
   let fsteps = float_of_int steps in
   { s_exec =
       (match kind with
@@ -1100,7 +1098,6 @@ let tiling_measure ~kind ~lanes ~tiles ~cells_per_h ~steps =
   in
   let g = (Engine.Backend.state inst).Euler.State.grid in
   let cells = g.Euler.Grid.nx * g.Euler.Grid.ny in
-  Parallel.Exec.shutdown exec;
   let fsteps = float_of_int steps in
   { l_exec =
       (match kind with
@@ -1377,7 +1374,6 @@ let fleet_exp () =
   let outcomes, fleet_wall =
     time_it (fun () -> Fleet.Scheduler.drain cfg q)
   in
-  Parallel.Exec.shutdown fleet_exec;
   let tel = Fleet.Telemetry.of_outcomes ~wall_s:fleet_wall outcomes in
   (* Serial baseline, same lane budget: one job at a time, each solve
      given the whole machine (domain decomposition inside the solver —
@@ -1404,7 +1400,6 @@ let fleet_exp () =
               +. float_of_int (m.Engine.Metrics.steps * m.Engine.Metrics.cells))
           jobs)
   in
-  Parallel.Exec.shutdown serial_exec;
   let serial_agg =
     if serial_wall > 0. then !serial_updates /. serial_wall else 0.
   in

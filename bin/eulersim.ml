@@ -129,7 +129,6 @@ let run problem nx ms recon riemann rk cfl unfused tiles steps t_end backend
     | `Fork_join -> Parallel.Exec.fork_join ~lanes
   in
   let fail msg =
-    Parallel.Exec.shutdown exec;
     Printf.eprintf "eulersim: %s\n" msg;
     exit 2
   in
@@ -267,8 +266,7 @@ let run problem nx ms recon riemann rk cfl unfused tiles steps t_end backend
    | Some path ->
      Engine.Run.emit ~pgm:path inst;
      Printf.printf "wrote %s\n" path
-   | None -> ());
-  Parallel.Exec.shutdown exec
+   | None -> ())
 
 (* eulersim serve: the fleet front-end.  Jobs arrive as files in
    INBOX/inbox, results leave as files in INBOX/done; scheduling,
@@ -282,7 +280,6 @@ let serve inbox_dir scheduler lanes slice small_cells batch_max retain poll_s
     | `Fork_join -> Parallel.Exec.fork_join ~lanes
   in
   let fail msg =
-    Parallel.Exec.shutdown exec;
     Printf.eprintf "eulersim serve: %s\n" msg;
     exit 2
   in
@@ -306,7 +303,6 @@ let serve inbox_dir scheduler lanes slice small_cells batch_max retain poll_s
     try Fleet.Serve.run inbox (Fleet.Serve.config ~poll_s ~drain ~log sched)
     with Invalid_argument msg -> fail msg
   in
-  Parallel.Exec.shutdown exec;
   if quiet then print_endline (Fleet.Telemetry.to_string t);
   if t.Fleet.Telemetry.failed > 0 then exit 1
 

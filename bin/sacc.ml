@@ -93,8 +93,7 @@ let run source_arg maxoptcyc maxwlur nowlf noinline noopt print_code
      Printf.printf
        "executed %d with-loop(s) over %d element(s), %d user call(s)\n"
        stats.Sac.Eval.with_loops stats.Sac.Eval.elements
-       stats.Sac.Eval.calls;
-     Option.iter Parallel.Exec.shutdown exec);
+       stats.Sac.Eval.calls);
   0
 
 let cmd =
@@ -136,7 +135,7 @@ let cmd =
   and lanes =
     Arg.(value & opt int 1
          & info [ "lanes" ]
-             ~doc:"run with-loops on an SPMD pool of this many lanes")
+             ~doc:"run with-loops SPMD on this many lanes")
   and par_threshold =
     Arg.(value & opt int 1024
          & info [ "par-threshold" ] ~docv:"N"

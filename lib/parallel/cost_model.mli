@@ -1,6 +1,6 @@
 (** Analytic multicore scaling model, calibrated from measured runs.
 
-    The reproduction container exposes a single hardware core, so the
+    The host has two cores, so only 2-lane figures are measured; the
     16-core wall-clock curves of the paper's Fig. 4 cannot be measured
     directly.  They are {e overhead-dominated} curves, though: what
     separates SaC from auto-parallelised Fortran in the paper is the
@@ -35,8 +35,10 @@ type params = {
       (~0.05 us): cache-line bouncing on the flag. *)
   fork_base_s : float;
   (** Fixed cost of an OpenMP parallel region, seconds (~1.5 us):
-      the team is persistent, but workers sleep between regions and
-      are woken through the kernel (futex), unlike a spin barrier. *)
+      a full fork and join on a persistent team, from the EPCC
+      microbenchmarks, against the spin barrier of SaC's runtime.
+      This reproduction runs both schedulers on one team ({!Team}),
+      so what separates them in measured runs is regions per step. *)
   fork_slope_s : float;
   (** Per-core region cost, seconds (~0.4 us): wake-ups and joins are
       serviced per worker. *)

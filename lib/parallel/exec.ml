@@ -1,7 +1,4 @@
-type kind =
-  | Sequential
-  | Spmd of Pool.t
-  | Fork_join_sched of int
+type kind = Sequential | Spmd | Fork_join
 
 type region = Rhs | Bc | Halo | Reduce | Rk_combine | Other
 
@@ -60,6 +57,7 @@ let lane_pad = 8
 
 type t = {
   kind : kind;
+  lanes : int;
   count : int Atomic.t;
   slots : slot array; (* indexed by region_index *)
   workspace : Workspace.t;
@@ -75,25 +73,18 @@ let make_slots () =
         b_promoted_words = 0. })
 
 let make kind ~lanes =
+  if lanes < 1 then invalid_arg "Exec: lanes must be >= 1";
   { kind;
+    lanes;
     count = Atomic.make 0;
     slots = make_slots ();
     workspace = Workspace.create ~lanes ();
     partials = Array.make (lanes * lane_pad) 0. }
 
 let sequential () = make Sequential ~lanes:1
-
-let spmd ~lanes = make (Spmd (Pool.create ~lanes)) ~lanes
-
-let fork_join ~lanes =
-  if lanes < 1 then invalid_arg "Exec.fork_join: lanes must be >= 1";
-  make (Fork_join_sched lanes) ~lanes
-
-let lanes t =
-  match t.kind with
-  | Sequential -> 1
-  | Spmd pool -> Pool.lanes pool
-  | Fork_join_sched n -> n
+let spmd ~lanes = make Spmd ~lanes
+let fork_join ~lanes = make Fork_join ~lanes
+let lanes t = t.lanes
 
 let workspace t = t.workspace
 
@@ -105,14 +96,46 @@ let record t region ns minor promoted =
   s.b_minor_words <- s.b_minor_words +. minor;
   s.b_promoted_words <- s.b_promoted_words +. promoted
 
+(* Charges the wall time since [t0] and the GC words since [m0]/[p0]
+   to [region]. *)
+let charge t region t0 m0 p0 =
+  let ns = Clock.now_ns () -. t0 in
+  let m1, p1, _ = Gc.counters () in
+  record t region ns (m1 -. m0) (p1 -. p0)
+
 let timed t region f =
   let m0, p0, _ = Gc.counters () in
   let t0 = Clock.now_ns () in
   let r = f () in
-  let ns = Clock.now_ns () -. t0 in
-  let m1, p1, _ = Gc.counters () in
-  record t region ns (m1 -. m0) (p1 -. p0);
+  charge t region t0 m0 p0;
   r
+
+(* One team region running [body ~lane i] for every [i] in
+   [\[lo, hi)] — the only place loops are chunked.  The team is
+   clamped to the iteration count, so a short range never wakes a
+   worker for an empty chunk; the static partition is the same either
+   way. *)
+let team_for ?(schedule = Chunk.Static) ~lanes ~lo ~hi body =
+  let parts = min lanes (hi - lo) in
+  match schedule with
+  | Chunk.Static ->
+    Team.run ~parts (fun lane ->
+        let r = Chunk.chunk_of ~lo ~hi ~parts ~which:lane in
+        for i = r.Chunk.lo to r.Chunk.hi - 1 do
+          body ~lane i
+        done)
+  | Chunk.Dynamic chunk ->
+    let next = Atomic.make lo in
+    Team.run ~parts (fun lane ->
+        let continue = ref true in
+        while !continue do
+          let start = Atomic.fetch_and_add next chunk in
+          if start >= hi then continue := false
+          else
+            for i = start to min hi (start + chunk) - 1 do
+              body ~lane i
+            done
+        done)
 
 let parallel_for_lanes ?schedule ?(region = Other) t ~lo ~hi body =
   if hi > lo then begin
@@ -124,14 +147,8 @@ let parallel_for_lanes ?schedule ?(region = Other) t ~lo ~hi body =
        for i = lo to hi - 1 do
          body ~lane:0 i
        done
-     | Spmd pool -> Pool.parallel_for_lanes ?schedule pool ~lo ~hi body
-     | Fork_join_sched n ->
-       (* The fork/join backend models OpenMP static scheduling only;
-          a dynamic request falls back to static. *)
-       Fork_join.parallel_for_lanes ~lanes:n ~lo ~hi body);
-    let ns = Clock.now_ns () -. t0 in
-    let m1, p1, _ = Gc.counters () in
-    record t region ns (m1 -. m0) (p1 -. p0)
+     | Spmd | Fork_join -> team_for ?schedule ~lanes:t.lanes ~lo ~hi body);
+    charge t region t0 m0 p0
   end
 
 let parallel_for ?schedule ?region t ~lo ~hi body =
@@ -162,18 +179,18 @@ let parallel_phases t phases =
                 p.body ~lane:0 i
               done))
         phases
-    | Spmd pool ->
-      (* The folded form: one dispatch, in-region barriers between
+    | Spmd ->
+      (* The folded form: one region, in-region barriers between
          phases.  Lane 0 crosses every barrier, so sampling the clock
          in the on_phase hook attributes each inter-barrier interval
          (work + barrier wait) to that phase's region. *)
       Atomic.incr t.count;
-      let lanes = Pool.lanes pool in
+      let lanes = t.lanes in
       let m0, p0, _ = Gc.counters () in
       let last_t = ref (Clock.now_ns ())
       and last_m = ref m0
       and last_p = ref p0 in
-      Pool.run_phases pool ~phases:n
+      Team.run_phases ~parts:lanes ~phases:n
         ~on_phase:(fun k ->
           let now = Clock.now_ns () in
           let m1, p1, _ = Gc.counters () in
@@ -183,21 +200,12 @@ let parallel_phases t phases =
           last_m := m1;
           last_p := p1)
         (fun ~phase ~lane -> phase_chunk phases.(phase) ~lanes ~lane)
-    | Fork_join_sched lanes ->
+    | Fork_join ->
       (* The OpenMP model cannot fold barriers: each phase pays its
          own fork/join region.  Keeping that cost visible is the
          point of the comparison. *)
       Array.iter
-        (fun p ->
-          if p.hi > p.lo then begin
-            Atomic.incr t.count;
-            let m0, p0, _ = Gc.counters () in
-            let t0 = Clock.now_ns () in
-            Fork_join.parallel_for_lanes ~lanes ~lo:p.lo ~hi:p.hi p.body;
-            let ns = Clock.now_ns () -. t0 in
-            let m1, p1, _ = Gc.counters () in
-            record t p.region ns (m1 -. m0) (p1 -. p0)
-          end)
+        (fun p -> parallel_for_lanes ~region:p.region t ~lo:p.lo ~hi:p.hi p.body)
         phases
   end
 
@@ -209,8 +217,7 @@ let parallel_reduce_lanes ?schedule ?(region = Reduce) t ~lo ~hi ~init
     let m0, p0, _ = Gc.counters () in
     let t0 = Clock.now_ns () in
     let acc = t.partials in
-    let parts = lanes t in
-    for l = 0 to parts - 1 do
+    for l = 0 to t.lanes - 1 do
       acc.(l * lane_pad) <- init
     done;
     (match t.kind with
@@ -218,64 +225,24 @@ let parallel_reduce_lanes ?schedule ?(region = Reduce) t ~lo ~hi ~init
        for i = lo to hi - 1 do
          body ~acc ~cell:0 ~lane:0 i
        done
-     | Spmd pool ->
-       Pool.parallel_for_lanes ?schedule pool ~lo ~hi (fun ~lane i ->
-           body ~acc ~cell:(lane * lane_pad) ~lane i)
-     | Fork_join_sched n ->
-       Fork_join.parallel_for_lanes ~lanes:n ~lo ~hi (fun ~lane i ->
+     | Spmd | Fork_join ->
+       team_for ?schedule ~lanes:t.lanes ~lo ~hi (fun ~lane i ->
            body ~acc ~cell:(lane * lane_pad) ~lane i));
     let result = ref acc.(0) in
-    for l = 1 to parts - 1 do
+    for l = 1 to t.lanes - 1 do
       result := combine !result acc.(l * lane_pad)
     done;
-    let ns = Clock.now_ns () -. t0 in
-    let m1, p1, _ = Gc.counters () in
-    record t region ns (m1 -. m0) (p1 -. p0);
+    charge t region t0 m0 p0;
     !result
   end
 
-let reduce_chunk body (r : Chunk.range) =
-  let acc = ref Float.neg_infinity in
-  for i = r.Chunk.lo to r.Chunk.hi - 1 do
-    let v = body i in
-    if v > !acc then acc := v
-  done;
-  !acc
-
+(* Each lane folds its chunk in index order into its own slot, so the
+   result does not depend on the scheduler. *)
 let parallel_reduce_max ?(region = Reduce) t ~lo ~hi body =
-  if hi <= lo then Float.neg_infinity
-  else begin
-    Atomic.incr t.count;
-    let m0, p0, _ = Gc.counters () in
-    let t0 = Clock.now_ns () in
-    let result =
-      match t.kind with
-      | Sequential -> reduce_chunk body { Chunk.lo; hi }
-      | Spmd pool ->
-        let parts = Pool.lanes pool in
-        let partial = Array.make parts Float.neg_infinity in
-        Pool.run pool (fun lane ->
-            partial.(lane) <-
-              reduce_chunk body (Chunk.chunk_of ~lo ~hi ~parts ~which:lane));
-        Array.fold_left Float.max Float.neg_infinity partial
-      | Fork_join_sched parts ->
-        (* Lane slots [lane_pad] floats apart, as in
-           [parallel_reduce_lanes]; each lane folds its static chunk
-           in index order, exactly as [reduce_chunk] does. *)
-        let partial =
-          Array.make (min parts (hi - lo) * lane_pad) Float.neg_infinity
-        in
-        Fork_join.parallel_for_lanes ~lanes:parts ~lo ~hi (fun ~lane i ->
-            let v = body i in
-            if v > partial.(lane * lane_pad) then
-              partial.(lane * lane_pad) <- v);
-        Array.fold_left Float.max Float.neg_infinity partial
-    in
-    let ns = Clock.now_ns () -. t0 in
-    let m1, p1, _ = Gc.counters () in
-    record t region ns (m1 -. m0) (p1 -. p0);
-    result
-  end
+  parallel_reduce_lanes ~region t ~lo ~hi ~init:Float.neg_infinity
+    ~combine:Float.max (fun ~acc ~cell ~lane:_ i ->
+      let v = body i in
+      if v > acc.(cell) then acc.(cell) <- v)
 
 let regions t = Atomic.get t.count
 let reset_regions t = Atomic.set t.count 0
@@ -305,13 +272,10 @@ let reset_buckets t =
       s.b_promoted_words <- 0.)
     t.slots
 
-let shutdown t =
-  match t.kind with
-  | Spmd pool -> Pool.shutdown pool
-  | Sequential | Fork_join_sched _ -> ()
+let shutdown _ = ()
 
 let describe t =
   match t.kind with
   | Sequential -> "sequential"
-  | Spmd pool -> Printf.sprintf "spmd(%d)" (Pool.lanes pool)
-  | Fork_join_sched n -> Printf.sprintf "fork-join(%d)" n
+  | Spmd -> Printf.sprintf "spmd(%d)" t.lanes
+  | Fork_join -> Printf.sprintf "fork-join(%d)" t.lanes

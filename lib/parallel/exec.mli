@@ -1,8 +1,11 @@
 (** Scheduler abstraction used by the solvers.
 
     The Euler kernels are written against this interface so the same
-    numerics can run sequentially, on the SPMD pool (SaC's execution
-    model) or with per-region fork/join (the OpenMP model).  Every
+    numerics can run sequentially, SPMD (SaC's execution model) or
+    with per-loop fork/join (the OpenMP model).  Both parallel
+    schedulers run on the same process-wide {!Team}; they differ only
+    in how many regions a step opens, which is the variable the paper
+    measures.  This module is the only place loops are chunked.  Every
     scheduler counts the parallel regions it executes {e and} buckets
     their wall time by region kind; the cost model turns the counts
     plus measured sequential times into predicted multi-core wall
@@ -43,13 +46,16 @@ val sequential : unit -> t
     sequential run doubles as the instrumentation pass. *)
 
 val spmd : lanes:int -> t
-(** SPMD pool scheduler (see {!Pool}).  Call {!shutdown} when done. *)
+(** SPMD scheduler: every loop is one region of the {!Team}, and
+    {!parallel_phases} folds a whole phase sequence into one region.
+    Creating one spawns nothing.
+    @raise Invalid_argument if [lanes < 1]. *)
 
 val fork_join : lanes:int -> t
-(** Per-loop fork/join scheduler on the process-wide hot team (see
-    {!Fork_join}): workers spin, then park, between regions; a region
-    issued while the team is busy runs inline as a team of one.
-    Creating one spawns nothing, and {!shutdown} is a no-op for it. *)
+(** Per-loop fork/join scheduler on the same {!Team}: every loop, and
+    every phase of {!parallel_phases}, is its own region.  Creating
+    one spawns nothing.
+    @raise Invalid_argument if [lanes < 1]. *)
 
 val lanes : t -> int
 (** Number of execution lanes (1 for {!sequential}). *)
@@ -65,9 +71,10 @@ val parallel_for :
   ?region:region ->
   t -> lo:int -> hi:int -> (int -> unit) -> unit
 (** One data-parallel region over [\[lo, hi)]; [schedule] (default
-    static) selects the SPMD pool's work distribution, mirroring
-    OMP_SCHEDULE.  [region] (default [Other]) labels the timing
-    bucket the region is charged to. *)
+    static) selects the work distribution under both parallel
+    schedulers, as OMP_SCHEDULE does for OpenMP auto-parallel loops.
+    [region] (default [Other]) labels the timing bucket the region is
+    charged to. *)
 
 val parallel_for_lanes :
   ?schedule:Chunk.schedule ->
@@ -95,10 +102,10 @@ val parallel_phases : t -> phase array -> unit
     has finished phase [k].  This is the with-loop-folding
     transformation at the scheduler level:
 
-    - under {!spmd} the whole sequence is {e one} dispatch of the
-      persistent pool ({!regions} grows by 1); lanes synchronise on an
-      in-region sense-reversing barrier (see {!Pool.run_phases})
-      instead of returning to the orchestrator between phases;
+    - under {!spmd} the whole sequence is {e one} region of the team
+      ({!regions} grows by 1); lanes synchronise on an in-region
+      sense-reversing barrier (see {!Team.run_phases}) instead of
+      returning to the orchestrator between phases;
     - under {!sequential} the phases run inline as one counted region
       (the instrumentation pass);
     - under {!fork_join} each non-empty phase pays its own fork/join
@@ -143,9 +150,7 @@ val parallel_reduce_max :
 (** Parallel maximum of [f i] over the range (the GetDT pattern);
     returns [neg_infinity] on an empty range.  Each lane folds its
     chunk locally; partial results are combined after the barrier.
-    Charged to the [Reduce] bucket by default.  Under the fork/join
-    scheduler the team is clamped to the iteration count, so a short
-    range never wakes workers with empty chunks. *)
+    Charged to the [Reduce] bucket by default. *)
 
 val timed : t -> region -> (unit -> 'a) -> 'a
 (** [timed t region f] runs [f] inline, charging its wall time to
@@ -167,7 +172,8 @@ val buckets : t -> (region * bucket) list
 val reset_buckets : t -> unit
 
 val shutdown : t -> unit
-(** Releases pool workers for {!spmd}; a no-op otherwise. *)
+(** A no-op: the {!Team} is process-wide and never shut down.  Kept
+    so that existing callers still build. *)
 
 val describe : t -> string
 (** Human-readable name, e.g. ["spmd(8)"]. *)

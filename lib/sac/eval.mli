@@ -2,8 +2,8 @@
 
     A tree-walking interpreter over {!Ast} with the runtime behaviour
     the paper describes: with-loops are data-parallel (an optional
-    {!Parallel.Exec.t} runs genarray/modarray partitions through the
-    SPMD pool), and execution statistics count every with-loop — both
+    {!Parallel.Exec.t} runs genarray/modarray partitions on its
+    lanes), and execution statistics count every with-loop — both
     explicit [with] constructs and the implicit ones hidden in
     whole-array arithmetic — so the effect of with-loop folding is
     directly measurable. *)

@@ -16,11 +16,13 @@
 # artefact with its 2x batching-speedup floor.  The mini-SaC driver
 # gets a sacc smoke running the README's dfDxNoBoundary line, and the
 # fork/join scheduler a CLI smoke pinning it to the sequential march.
+# scripts/loc.sh prints the per-library line count (informational).
 set -eu
 cd "$(dirname "$0")/.."
 
 dune build
 dune runtest
+sh scripts/loc.sh
 dune exec bench/main.exe -- fig1 --quick
 
 # Checkpoint/restart: deterministic resume, torn-write fallback and

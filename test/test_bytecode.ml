@@ -111,7 +111,7 @@ let run_seq runner seq =
   in
   Option.get last
 
-(* Vm_lane1 pins the degenerate pool: a 1-lane SPMD executor with a
+(* Vm_lane1 pins the degenerate team: a 1-lane SPMD executor with a
    tiny threshold takes the parallel dispatch path but reduces a
    single lane slot.  Vm_parallel is the real N-lane path. *)
 type engine = Interp | Vm | Vm_generic | Vm_lane1 | Vm_parallel
@@ -142,14 +142,12 @@ let run_engine engine prog bc seq =
     let ctx = Sac.Vm.make_ctx ~exec ~parallel_threshold:4 bc in
     let r = run_seq (Sac.Vm.run_fun ctx) seq in
     let s = Sac.Vm.stats ctx in
-    Parallel.Exec.shutdown exec;
     (r, s)
   | Vm_parallel ->
     let exec = Parallel.Exec.spmd ~lanes:4 in
     let ctx = Sac.Vm.make_ctx ~exec ~parallel_threshold:4 bc in
     let r = run_seq (Sac.Vm.run_fun ctx) seq in
     let s = Sac.Vm.stats ctx in
-    Parallel.Exec.shutdown exec;
     (r, s)
 
 let vm_engines = [ Vm; Vm_generic; Vm_lane1; Vm_parallel ]
@@ -301,6 +299,19 @@ let fold_cases =
       "double f(int n) { return (with { ([0,0] <= iv < [n,n]) : fabs(1.0 \
        * (iv[0] * 7 - iv[1] * 3)); } : fold(max, 0.0)); }",
       [ ("f", [ V (vi 80) ]) ] );
+    ( "fold-rank2-col-sum",
+      (* rank-2 sum whose body splits into a column block (everything
+         on b[iv[1]]) and per-element code: the sum keeps the
+         sequential row-major walk under every engine, so the column
+         block's values must combine in exactly the interpreter's
+         order. *)
+      "double f(double[.] a, double[.] b, int n) { return (with { \
+       ([0,0] <= iv < [n,9]) : a[iv[0]] * sqrt(fabs(b[iv[1]]) + 1.0) + \
+       b[iv[1]] / 3.0; } : fold(+, 0.0)); }",
+      [ ( "f",
+          [ V (darr (List.init 12 (fun i -> float_of_int (i * i) /. 7.)));
+            V (darr (List.init 9 (fun j -> sin (float_of_int j))));
+            V (vi 12) ] ) ] );
     ( "fold-generic-body",
       (* a user call the specialiser cannot thread at -O0: the generic
          body must still agree (at default options inlining usually
@@ -470,7 +481,6 @@ let test_error_parity_parallel_fold () =
           (Sac.Vm.make_ctx ~exec ~parallel_threshold:4 bc)
           name args)
   in
-  Parallel.Exec.shutdown exec;
   check_string (label ^ "/parallel") interp vm
 
 (* ------------------------------------------------------------------ *)
@@ -497,7 +507,6 @@ let test_runner_par_threshold () =
     Sacprog.Runner.sod_state ~exec ~parallel_threshold:2 compiled ~nx:24
       ~steps:4
   in
-  Parallel.Exec.shutdown exec;
   Alcotest.(check (float 0.))
     "sod par-threshold 2 = default (bitwise)" 0.
     (Sacprog.Runner.max_abs_diff q_default q_low)

@@ -274,41 +274,32 @@ let march inst n =
 let check_resume_bitwise ?(label = "") ~mk_exec ?fused ~config ~problem n1 n2
     backend =
   let label = if label = "" then backend else label ^ "/" ^ backend in
-  let execs = ref [] in
-  let exec () =
-    let e = mk_exec () in
-    execs := e :: !execs;
-    e
+  let uninterrupted =
+    Engine.Registry.create ~exec:(mk_exec ()) ~config backend (problem ())
   in
-  Fun.protect
-    ~finally:(fun () -> List.iter Parallel.Exec.shutdown !execs)
-    (fun () ->
-      let uninterrupted =
-        Engine.Registry.create ~exec:(exec ()) ~config backend (problem ())
-      in
-      let dts_a = march uninterrupted (n1 + n2) in
-      let first =
-        Engine.Registry.create ~exec:(exec ()) ~config backend (problem ())
-      in
-      let dts_b1 = march first n1 in
-      let snap =
-        Persist.Snapshot.decode
-          (Persist.Snapshot.encode (Engine.Backend.snapshot first))
-      in
-      check_int (label ^ ": snapshot steps") n1 snap.Persist.Snapshot.steps;
-      let resumed = Engine.Registry.resume ~exec:(exec ()) ?fused snap (problem ()) in
-      check_int (label ^ ": resumed steps") n1 (Engine.Backend.steps resumed);
-      check_states_identical (label ^ " at n1") (Engine.Backend.state first)
-        (Engine.Backend.state resumed);
-      let dts_b2 = march resumed n2 in
-      check_dts_identical label dts_a (dts_b1 @ dts_b2);
-      check_states_identical label
-        (Engine.Backend.state uninterrupted)
-        (Engine.Backend.state resumed);
-      (* The continuations' snapshots are byte-identical too. *)
-      check_string (label ^ ": snapshots byte-identical")
-        (Persist.Snapshot.encode (Engine.Backend.snapshot uninterrupted))
-        (Persist.Snapshot.encode (Engine.Backend.snapshot resumed)))
+  let dts_a = march uninterrupted (n1 + n2) in
+  let first =
+    Engine.Registry.create ~exec:(mk_exec ()) ~config backend (problem ())
+  in
+  let dts_b1 = march first n1 in
+  let snap =
+    Persist.Snapshot.decode
+      (Persist.Snapshot.encode (Engine.Backend.snapshot first))
+  in
+  check_int (label ^ ": snapshot steps") n1 snap.Persist.Snapshot.steps;
+  let resumed = Engine.Registry.resume ~exec:(mk_exec ()) ?fused snap (problem ()) in
+  check_int (label ^ ": resumed steps") n1 (Engine.Backend.steps resumed);
+  check_states_identical (label ^ " at n1") (Engine.Backend.state first)
+    (Engine.Backend.state resumed);
+  let dts_b2 = march resumed n2 in
+  check_dts_identical label dts_a (dts_b1 @ dts_b2);
+  check_states_identical label
+    (Engine.Backend.state uninterrupted)
+    (Engine.Backend.state resumed);
+  (* The continuations' snapshots are byte-identical too. *)
+  check_string (label ^ ": snapshots byte-identical")
+    (Persist.Snapshot.encode (Engine.Backend.snapshot uninterrupted))
+    (Persist.Snapshot.encode (Engine.Backend.snapshot resumed))
 
 let seq () = Parallel.Exec.sequential ()
 

@@ -1313,7 +1313,6 @@ let test_hotpath_rhs_schedulers_identical () =
       let dqdt_of exec =
         let d = Array.init 4 (fun _ -> Array.make g.Euler.Grid.cells 0.) in
         Euler.Rhs.compute cfg exec st d;
-        Parallel.Exec.shutdown exec;
         d
       in
       let a = dqdt_of (Parallel.Exec.sequential ()) in
@@ -1393,7 +1392,6 @@ let test_fused_schedulers_identical () =
   List.iter
     (fun (name, exec, fused) ->
       let s, d = fused_advance ~fused ~exec ~steps:6 config in
-      Parallel.Exec.shutdown exec;
       Alcotest.(check (array (float 0.))) (name ^ " dt sequence") du d;
       check_float 0. (name ^ " state") 0.
         (Euler.State.max_abs_diff su.Euler.Solver.state s.Euler.Solver.state))
@@ -1414,7 +1412,6 @@ let test_fused_1d_fallback () =
         ~bcs:prob.Euler.Setup.bcs prob.Euler.Setup.state
     in
     let dts = Array.init 8 (fun _ -> Euler.Solver.step s) in
-    Parallel.Exec.shutdown exec;
     (s, dts)
   in
   let su, du = run false (Parallel.Exec.sequential ()) in
@@ -1434,7 +1431,6 @@ let test_fused_dt_matches_standalone () =
   let exec = Parallel.Exec.spmd ~lanes:3 in
   let s, _ = fused_advance ~fused:true ~exec ~steps:4 Euler.Solver.default_config in
   let cached = Euler.Solver.dt s in
-  Parallel.Exec.shutdown exec;
   let standalone =
     Euler.Time_step.dt ~cfl:s.Euler.Solver.config.Euler.Solver.cfl
       (Parallel.Exec.sequential ())
@@ -1607,7 +1603,6 @@ let test_tiled_schedulers_identical () =
         (fun (name, exec, fused) ->
           let s, d = tiled_advance ~tiles ~fused ~exec ~steps:6 config in
           let st = Euler.Solver.current_state s in
-          Parallel.Exec.shutdown exec;
           let tname = Printf.sprintf "%s %dx%d" name r c in
           Alcotest.(check (array (float 0.))) (tname ^ " dt sequence") dm d;
           check_float 0. (tname ^ " state") 0.
@@ -1716,7 +1711,6 @@ let dmr_advance ~tiles ~fused ~exec ~steps =
   in
   let dts = Array.init steps (fun _ -> Euler.Solver.step s) in
   let q = Euler.Solver.current_state s in
-  Parallel.Exec.shutdown exec;
   (q, dts)
 
 let test_dmr_time_dependent_pin () =

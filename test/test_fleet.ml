@@ -195,7 +195,6 @@ let bitwise_preemption ~make_exec ~small_cells () =
       let q = Fleet.Queue.create () in
       Fleet.Queue.submit q the_job;
       let outcomes = Fleet.Scheduler.drain cfg q in
-      Parallel.Exec.shutdown exec;
       match outcomes with
       | [ o ] ->
         check_bool "done" true (o.Fleet.Scheduler.status = Fleet.Scheduler.Done);

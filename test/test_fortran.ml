@@ -116,7 +116,6 @@ let test_parallel_backends_agree () =
           Fortran_baseline.F_solver.of_problem ~autopar ~config (problem ())
         in
         Fortran_baseline.F_solver.run_steps f exec steps;
-        Parallel.Exec.shutdown exec;
         Fortran_baseline.F_solver.state f
       in
       let a = run (seq ()) in

@@ -69,7 +69,6 @@ let test_sacprog_parallel_eval () =
   let c = Sacprog.Runner.compile_euler_1d () in
   let exec = Parallel.Exec.spmd ~lanes:2 in
   let _, q_par = Sacprog.Runner.sod_state ~exec c ~nx:40 ~steps:10 in
-  Parallel.Exec.shutdown exec;
   let _, q_seq = Sacprog.Runner.sod_state c ~nx:40 ~steps:10 in
   check_float "parallel evaluation identical" 0.
     (Sacprog.Runner.max_abs_diff q_par q_seq)

@@ -1,6 +1,6 @@
-(* Tests for the parallel runtime: chunking, SPMD pool, fork/join and
-   the scaling cost model.  Lane counts stay small so the suite runs on
-   a single-core container. *)
+(* Tests for the parallel runtime: chunking, the worker team under the
+   SPMD and fork/join schedulers, and the scaling cost model.  Lane
+   counts stay small so the suite runs on one or two cores. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -52,62 +52,60 @@ let test_chunk_invalid () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Pool (SPMD)                                                         *)
+(* SPMD scheduling on the team                                         *)
 (* ------------------------------------------------------------------ *)
 
-let test_pool_parallel_for () =
-  Parallel.Pool.with_pool ~lanes:4 (fun pool ->
-      let n = 10_000 in
-      let a = Array.make n 0 in
-      Parallel.Pool.parallel_for pool ~lo:0 ~hi:n (fun i -> a.(i) <- i);
-      let sum = Array.fold_left ( + ) 0 a in
-      check_int "sum 0..n-1" (n * (n - 1) / 2) sum)
+(* The "pool" group pins SPMD scheduling and the "fork_join" group
+   per-loop fork/join; both run on [Parallel.Team]. *)
 
-let test_pool_lane_ids () =
-  Parallel.Pool.with_pool ~lanes:3 (fun pool ->
-      let seen = Array.make 3 false in
-      Parallel.Pool.run pool (fun lane -> seen.(lane) <- true);
-      Array.iteri
-        (fun i s -> check_bool (Printf.sprintf "lane %d ran" i) true s)
-        seen)
+let test_spmd_parallel_for () =
+  let sched = Parallel.Exec.spmd ~lanes:4 in
+  let n = 10_000 in
+  let a = Array.make n 0 in
+  Parallel.Exec.parallel_for sched ~lo:0 ~hi:n (fun i -> a.(i) <- i);
+  let sum = Array.fold_left ( + ) 0 a in
+  check_int "sum 0..n-1" (n * (n - 1) / 2) sum
 
-let test_pool_many_regions () =
-  (* Reuse of parked workers across many regions is the whole point of
-     the SPMD design; make sure repeated regions stay correct. *)
-  Parallel.Pool.with_pool ~lanes:2 (fun pool ->
-      let acc = Array.make 100 0 in
-      for round = 1 to 50 do
-        Parallel.Pool.parallel_for pool ~lo:0 ~hi:100 (fun i ->
-            acc.(i) <- acc.(i) + round)
-      done;
-      let expected = 50 * 51 / 2 in
-      Array.iteri
-        (fun i v -> check_int (Printf.sprintf "acc(%d)" i) expected v)
-        acc;
-      check_int "barriers" 50 (Parallel.Pool.barriers_crossed pool))
+let test_spmd_lane_ids () =
+  let seen = Array.init 3 (fun _ -> Atomic.make false) in
+  Parallel.Team.run ~parts:3 (fun lane -> Atomic.set seen.(lane) true);
+  Array.iteri
+    (fun i s -> check_bool (Printf.sprintf "lane %d ran" i) true (Atomic.get s))
+    seen
 
-let test_pool_single_lane () =
-  Parallel.Pool.with_pool ~lanes:1 (fun pool ->
-      let hits = ref 0 in
-      Parallel.Pool.parallel_for pool ~lo:0 ~hi:10 (fun _ -> incr hits);
-      check_int "all iterations" 10 !hits)
+let test_spmd_many_regions () =
+  (* Reuse of resident workers across many regions is the whole point
+     of the team; make sure repeated regions stay correct. *)
+  let sched = Parallel.Exec.spmd ~lanes:2 in
+  let acc = Array.make 100 0 in
+  for round = 1 to 50 do
+    Parallel.Exec.parallel_for sched ~lo:0 ~hi:100 (fun i ->
+        acc.(i) <- acc.(i) + round)
+  done;
+  let expected = 50 * 51 / 2 in
+  Array.iteri
+    (fun i v -> check_int (Printf.sprintf "acc(%d)" i) expected v)
+    acc;
+  check_int "regions" 50 (Parallel.Exec.regions sched)
 
-let test_pool_dynamic_schedule () =
+let test_spmd_single_lane () =
+  let sched = Parallel.Exec.spmd ~lanes:1 in
+  let hits = ref 0 in
+  Parallel.Exec.parallel_for sched ~lo:0 ~hi:10 (fun _ -> incr hits);
+  check_int "all iterations" 10 !hits
+
+let test_spmd_dynamic_schedule () =
   (* Dynamic self-scheduling covers the range exactly once, like
      static (the paper's OMP_SCHEDULE experiment: "negligible
      difference" beyond distribution policy). *)
-  Parallel.Pool.with_pool ~lanes:3 (fun pool ->
-      let n = 1000 in
-      let hits = Array.make n (Atomic.make 0) in
-      for i = 0 to n - 1 do
-        hits.(i) <- Atomic.make 0
-      done;
-      Parallel.Pool.parallel_for ~schedule:(Parallel.Chunk.Dynamic 7) pool
-        ~lo:0 ~hi:n (fun i -> Atomic.incr hits.(i));
-      Array.iteri
-        (fun i c ->
-          check_int (Printf.sprintf "cell %d once" i) 1 (Atomic.get c))
-        hits)
+  let sched = Parallel.Exec.spmd ~lanes:3 in
+  let n = 1000 in
+  let hits = Array.init n (fun _ -> Atomic.make 0) in
+  Parallel.Exec.parallel_for ~schedule:(Parallel.Chunk.Dynamic 7) sched
+    ~lo:0 ~hi:n (fun i -> Atomic.incr hits.(i));
+  Array.iteri
+    (fun i c -> check_int (Printf.sprintf "cell %d once" i) 1 (Atomic.get c))
+    hits
 
 let test_schedule_parsing () =
   check_bool "static" true
@@ -128,7 +126,6 @@ let test_exec_dynamic_matches_static () =
     let a = Array.make 500 0. in
     Parallel.Exec.parallel_for ?schedule sched ~lo:0 ~hi:500 (fun i ->
         a.(i) <- Float.sqrt (float_of_int i));
-    Parallel.Exec.shutdown sched;
     a
   in
   let s = run None
@@ -137,127 +134,116 @@ let test_exec_dynamic_matches_static () =
 
 exception Boom of int
 
-let test_pool_exception_propagates () =
-  Parallel.Pool.with_pool ~lanes:2 (fun pool ->
-      (* Static chunking over [0,100) with 2 lanes puts i=75 on lane 1
-         (a parked worker) and i=10 on lane 0 (the caller); the barrier
-         must complete and the exception re-raise in the caller in both
-         cases. *)
-      List.iter
-        (fun bad ->
-          let raised =
-            try
-              Parallel.Pool.parallel_for pool ~lo:0 ~hi:100 (fun i ->
-                  if i = bad then raise (Boom i));
-              false
-            with Boom i -> i = bad
-          in
-          check_bool (Printf.sprintf "Boom %d re-raised" bad) true raised)
-        [ 75; 10 ];
-      (* A failed region must not poison the pool. *)
-      let hits = Atomic.make 0 in
-      Parallel.Pool.parallel_for pool ~lo:0 ~hi:10 (fun _ ->
-          Atomic.incr hits);
-      check_int "pool usable afterwards" 10 (Atomic.get hits))
-
-let test_pool_run_phases_barrier () =
-  (* Phase k+1 reads what *other* lanes wrote in phase k, so any
-     missing or broken in-region barrier shows up as a wrong sum.
-     Repeat dispatches to exercise the sense reset between them. *)
-  Parallel.Pool.with_pool ~lanes:3 (fun pool ->
-      let b0 = Parallel.Pool.barriers_crossed pool in
-      for round = 1 to 4 do
-        let a = Array.make 3 0 in
-        let sums = Array.make 3 0 in
-        Parallel.Pool.run_phases pool ~phases:2 (fun ~phase ~lane ->
-            if phase = 0 then a.(lane) <- (10 * round) + lane
-            else sums.(lane) <- a.(0) + a.(1) + a.(2));
-        let expected = (30 * round) + 3 in
-        Array.iteri
-          (fun l s ->
-            check_int (Printf.sprintf "round %d lane %d sum" round l)
-              expected s)
-          sums
-      done;
-      (* One dispatch per run_phases; in-region barriers are free. *)
-      check_int "one barrier pair per dispatch" (b0 + 4)
-        (Parallel.Pool.barriers_crossed pool))
-
-let test_pool_run_phases_on_phase () =
-  Parallel.Pool.with_pool ~lanes:2 (fun pool ->
-      let seen = ref [] in
-      Parallel.Pool.run_phases pool ~phases:3
-        ~on_phase:(fun k -> seen := k :: !seen)
-        (fun ~phase:_ ~lane:_ -> ());
-      Alcotest.(check (list int)) "hook ran once per phase" [ 2; 1; 0 ] !seen;
-      (* Zero phases: nothing runs, nothing hangs. *)
-      Parallel.Pool.run_phases pool ~phases:0
-        ~on_phase:(fun _ -> Alcotest.fail "hook on empty dispatch")
-        (fun ~phase:_ ~lane:_ -> Alcotest.fail "body on empty dispatch"))
-
-let test_pool_run_phases_exception () =
-  (* A lane raising mid-sequence must still attend every remaining
-     barrier; the first exception resurfaces at the join and the pool
-     stays usable. *)
-  Parallel.Pool.with_pool ~lanes:2 (fun pool ->
+let test_spmd_exception_propagates () =
+  let sched = Parallel.Exec.spmd ~lanes:2 in
+  (* Static chunking over [0,100) with 2 lanes puts i=75 on lane 1
+     (a team worker) and i=10 on lane 0 (the caller); the join must
+     complete and the exception re-raise in the caller in both
+     cases. *)
+  List.iter
+    (fun bad ->
       let raised =
         try
-          Parallel.Pool.run_phases pool ~phases:3 (fun ~phase ~lane ->
-              if phase = 1 && lane = 1 then raise (Boom phase));
+          Parallel.Exec.parallel_for sched ~lo:0 ~hi:100 (fun i ->
+              if i = bad then raise (Boom i));
           false
-        with Boom 1 -> true
+        with Boom i -> i = bad
       in
-      check_bool "exception from middle phase re-raised" true raised;
-      let hits = Atomic.make 0 in
-      Parallel.Pool.run_phases pool ~phases:2 (fun ~phase:_ ~lane:_ ->
-          Atomic.incr hits);
-      check_int "pool usable afterwards" 4 (Atomic.get hits))
+      check_bool (Printf.sprintf "Boom %d re-raised" bad) true raised)
+    [ 75; 10 ];
+  (* A failed region must not poison the team. *)
+  let hits = Atomic.make 0 in
+  Parallel.Exec.parallel_for sched ~lo:0 ~hi:10 (fun _ -> Atomic.incr hits);
+  check_int "team usable afterwards" 10 (Atomic.get hits)
 
-let test_pool_stop_idempotent () =
-  (* stop twice is a no-op... *)
-  let pool = Parallel.Pool.create ~lanes:2 in
-  Parallel.Pool.parallel_for pool ~lo:0 ~hi:10 ignore;
-  Parallel.Pool.stop pool;
-  Parallel.Pool.stop pool;
-  (* ...including right after a region whose barrier re-raised a
-     worker exception (the regression this satellite pins: a hang or
-     double-join here would deadlock the suite). *)
-  let pool = Parallel.Pool.create ~lanes:2 in
+let test_spmd_run_phases_barrier () =
+  (* Phase k+1 reads what *other* lanes wrote in phase k, so any
+     missing or broken in-region barrier shows up as a wrong sum.
+     Repeat regions to exercise the sense reset between them. *)
+  for round = 1 to 4 do
+    let a = Array.make 3 0 in
+    let sums = Array.make 3 0 in
+    Parallel.Team.run_phases ~parts:3 ~phases:2 (fun ~phase ~lane ->
+        if phase = 0 then a.(lane) <- (10 * round) + lane
+        else sums.(lane) <- a.(0) + a.(1) + a.(2));
+    let expected = (30 * round) + 3 in
+    Array.iteri
+      (fun l s ->
+        check_int (Printf.sprintf "round %d lane %d sum" round l) expected s)
+      sums
+  done
+
+let test_spmd_run_phases_on_phase () =
+  let seen = ref [] in
+  Parallel.Team.run_phases ~parts:2 ~phases:3
+    ~on_phase:(fun k -> seen := k :: !seen)
+    (fun ~phase:_ ~lane:_ -> ());
+  Alcotest.(check (list int)) "hook ran once per phase" [ 2; 1; 0 ] !seen;
+  (* Zero phases: nothing runs, nothing hangs. *)
+  Parallel.Team.run_phases ~parts:2 ~phases:0
+    ~on_phase:(fun _ -> Alcotest.fail "hook on empty region")
+    (fun ~phase:_ ~lane:_ -> Alcotest.fail "body on empty region")
+
+let test_spmd_run_phases_exception () =
+  (* A lane raising mid-sequence must still attend every remaining
+     barrier; the first exception resurfaces at the join and the team
+     stays usable. *)
+  let raised =
+    try
+      Parallel.Team.run_phases ~parts:2 ~phases:3 (fun ~phase ~lane ->
+          if phase = 1 && lane = 1 then raise (Boom phase));
+      false
+    with Boom 1 -> true
+  in
+  check_bool "exception from middle phase re-raised" true raised;
+  let hits = Atomic.make 0 in
+  Parallel.Team.run_phases ~parts:2 ~phases:2 (fun ~phase:_ ~lane:_ ->
+      Atomic.incr hits);
+  check_int "team usable afterwards" 4 (Atomic.get hits)
+
+let test_spmd_stop_idempotent () =
+  (* Shutdown is a no-op: calling it twice, or right after a region
+     that re-raised a worker exception, neither hangs nor stops the
+     exec from running further regions. *)
+  let sched = Parallel.Exec.spmd ~lanes:2 in
   (try
-     Parallel.Pool.parallel_for pool ~lo:0 ~hi:10 (fun i ->
+     Parallel.Exec.parallel_for sched ~lo:0 ~hi:10 (fun i ->
          if i >= 5 then raise (Boom i))
    with Boom _ -> ());
-  Parallel.Pool.stop pool;
-  Parallel.Pool.stop pool;
-  check_bool "stop is idempotent" true true
+  Parallel.Exec.shutdown sched;
+  Parallel.Exec.shutdown sched;
+  let hits = Atomic.make 0 in
+  Parallel.Exec.parallel_for sched ~lo:0 ~hi:10 (fun _ -> Atomic.incr hits);
+  check_int "exec usable after shutdown" 10 (Atomic.get hits)
 
 (* ------------------------------------------------------------------ *)
-(* Fork_join                                                           *)
+(* Fork/join scheduling on the team                                    *)
 (* ------------------------------------------------------------------ *)
 
 let test_fork_join_correct () =
   let n = 5_000 in
   let a = Array.make n 0 in
-  Parallel.Fork_join.parallel_for ~lanes:3 ~lo:0 ~hi:n (fun i ->
-      a.(i) <- 2 * i);
+  Parallel.Exec.parallel_for (Parallel.Exec.fork_join ~lanes:3) ~lo:0 ~hi:n
+    (fun i -> a.(i) <- 2 * i);
   let sum = Array.fold_left ( + ) 0 a in
   check_int "sum" (n * (n - 1)) sum
 
 let test_fork_join_region_count () =
-  Parallel.Fork_join.reset_regions ();
+  let sched = Parallel.Exec.fork_join ~lanes:2 in
   for _ = 1 to 7 do
-    Parallel.Fork_join.parallel_for ~lanes:2 ~lo:0 ~hi:4 ignore
+    Parallel.Exec.parallel_for sched ~lo:0 ~hi:4 ignore
   done;
   (* Empty ranges do not count. *)
-  Parallel.Fork_join.parallel_for ~lanes:2 ~lo:0 ~hi:0 ignore;
-  check_int "regions" 7 (Parallel.Fork_join.regions_executed ())
+  Parallel.Exec.parallel_for sched ~lo:0 ~hi:0 ignore;
+  check_int "regions" 7 (Parallel.Exec.regions sched)
 
 (* Run one region over [0, n) and check every index ran exactly once,
-   on a lane inside the clamped team. *)
-let check_region_cover label ~lanes n =
+   on a lane inside the team clamped to the iteration count. *)
+let check_region_cover label sched n =
+  let lanes = Parallel.Exec.lanes sched in
   let hits = Array.init n (fun _ -> Atomic.make 0) in
   let bad_lane = Atomic.make (-1) in
-  Parallel.Fork_join.parallel_for_lanes ~lanes ~lo:0 ~hi:n (fun ~lane i ->
+  Parallel.Exec.parallel_for_lanes sched ~lo:0 ~hi:n (fun ~lane i ->
       if lane < 0 || lane >= min lanes n then Atomic.set bad_lane lane;
       Atomic.incr hits.(i));
   check_int (label ^ ": lane ids in range") (-1) (Atomic.get bad_lane);
@@ -267,44 +253,53 @@ let check_region_cover label ~lanes n =
     hits
 
 let test_fork_join_exception () =
+  let sched = Parallel.Exec.fork_join ~lanes:2 in
   (* i = 75 lands on worker lane 1, i = 10 on the caller's chunk. *)
   List.iter
     (fun bad ->
       let raised =
         try
-          Parallel.Fork_join.parallel_for ~lanes:2 ~lo:0 ~hi:100 (fun i ->
+          Parallel.Exec.parallel_for sched ~lo:0 ~hi:100 (fun i ->
               if i = bad then raise (Boom i));
           false
         with Boom i -> i = bad
       in
       check_bool (Printf.sprintf "Boom %d re-raised" bad) true raised;
-      check_region_cover (Printf.sprintf "after Boom %d" bad) ~lanes:2 100)
+      check_region_cover (Printf.sprintf "after Boom %d" bad) sched 100)
     [ 75; 10 ]
 
 let test_fork_join_nested_inline () =
   (* The team is busy running the outer region, so every inner region
-     runs inline on whichever lane issued it: lane 0, full range. *)
-  let inner_hits = Atomic.make 0 in
-  let inner_lanes = Atomic.make 0 in
-  Parallel.Fork_join.parallel_for_lanes ~lanes:2 ~lo:0 ~hi:6
-    (fun ~lane:_ _ ->
-      Parallel.Fork_join.parallel_for_lanes ~lanes:2 ~lo:0 ~hi:10
-        (fun ~lane _ ->
-          Atomic.incr inner_hits;
-          if lane <> 0 then Atomic.incr inner_lanes));
-  check_int "every inner index ran" 60 (Atomic.get inner_hits);
-  check_int "inner regions ran as a team of one" 0 (Atomic.get inner_lanes)
+     runs inline on the domain that issued it. *)
+  let outer = Parallel.Exec.fork_join ~lanes:2 in
+  let inner = Parallel.Exec.fork_join ~lanes:2 in
+  let inner_hits = Array.init 6 (fun _ -> Atomic.make 0) in
+  let off_domain = Atomic.make 0 in
+  Parallel.Exec.parallel_for outer ~lo:0 ~hi:6 (fun o ->
+      let self = Domain.self () in
+      Parallel.Exec.parallel_for inner ~lo:0 ~hi:10 (fun _ ->
+          Atomic.incr inner_hits.(o);
+          if Domain.self () <> self then Atomic.incr off_domain));
+  Array.iteri
+    (fun o h ->
+      check_int (Printf.sprintf "inner region %d ran every index" o) 10
+        (Atomic.get h))
+    inner_hits;
+  check_int "inner regions ran inline" 0 (Atomic.get off_domain)
 
 let test_fork_join_varying_lanes () =
   (* Lane counts shrinking and growing back to back: a worker must not
      run a region it is not part of, nor one region twice. *)
+  let scheds =
+    List.map (fun lanes -> Parallel.Exec.fork_join ~lanes) [ 3; 2; 8; 2 ]
+  in
   for round = 1 to 50 do
     List.iter
-      (fun lanes ->
+      (fun sched ->
         check_region_cover
-          (Printf.sprintf "round %d, %d lanes" round lanes)
-          ~lanes 37)
-      [ 3; 2; 8; 2 ]
+          (Printf.sprintf "round %d, %s" round (Parallel.Exec.describe sched))
+          sched 37)
+      scheds
   done
 
 let test_fork_join_team_bounded () =
@@ -314,8 +309,89 @@ let test_fork_join_team_bounded () =
     let ex = Parallel.Exec.fork_join ~lanes:2 in
     Parallel.Exec.parallel_for ex ~lo:0 ~hi:4 ignore
   done;
-  let d = Parallel.Fork_join.team_domains () in
+  let d = Parallel.Team.domains () in
   check_bool (Printf.sprintf "team has %d domains" d) true (d >= 1 && d <= 7)
+
+(* ------------------------------------------------------------------ *)
+(* Team shared by both schedulers                                      *)
+(* ------------------------------------------------------------------ *)
+
+let test_team_spmd_no_leak () =
+  (* SPMD execs are never shut down either: 200 of them must reuse the
+     shared team rather than each keep domains of its own (OCaml caps
+     a process at 128 domains). *)
+  for _ = 1 to 200 do
+    let ex = Parallel.Exec.spmd ~lanes:2 in
+    Parallel.Exec.parallel_for ex ~lo:0 ~hi:4 ignore
+  done;
+  let d = Parallel.Team.domains () in
+  check_bool (Printf.sprintf "team has %d domains" d) true (d >= 1 && d <= 7)
+
+let two_phases n a b =
+  [| { Parallel.Exec.region = Parallel.Exec.Rhs;
+       lo = 0;
+       hi = n;
+       body = (fun ~lane:_ i -> a.(i) <- float_of_int (i * i)) };
+     { Parallel.Exec.region = Parallel.Exec.Rk_combine;
+       lo = 0;
+       hi = n;
+       body = (fun ~lane:_ i -> b.(i) <- a.(i) +. a.(n - 1 - i)) } |]
+
+let test_team_nested_phases () =
+  (* An SPMD phase sequence issued from inside a fork/join region finds
+     the team busy: it runs inline and still honours the barrier. *)
+  let n = 50 in
+  let expected =
+    let a = Array.make n 0. and b = Array.make n 0. in
+    Parallel.Exec.parallel_phases (Parallel.Exec.sequential ())
+      (two_phases n a b);
+    b
+  in
+  let outer = Parallel.Exec.fork_join ~lanes:2 in
+  let results = Array.init 4 (fun _ -> Array.make n 0.) in
+  Parallel.Exec.parallel_for outer ~lo:0 ~hi:4 (fun o ->
+      let a = Array.make n 0. in
+      Parallel.Exec.parallel_phases (Parallel.Exec.spmd ~lanes:3)
+        (two_phases n a results.(o)));
+  Array.iteri
+    (fun o b ->
+      Alcotest.(check (array (float 0.)))
+        (Printf.sprintf "nested region %d matches sequential" o)
+        expected b)
+    results
+
+let test_team_barrier_parks () =
+  (* One lane per phase outlasts the spin budget, so the other lanes
+     park at the barrier; the last arriver must wake them, whichever
+     lane (caller or worker) it is. *)
+  for slow = 0 to 2 do
+    let a = Array.make 3 0 in
+    let sums = Array.make 3 0 in
+    Parallel.Team.run_phases ~parts:3 ~phases:3 (fun ~phase ~lane ->
+        if lane = (slow + phase) mod 3 then Unix.sleepf 0.002;
+        if phase = 0 then a.(lane) <- lane + 1
+        else if phase = 1 then sums.(lane) <- a.(0) + a.(1) + a.(2)
+        else a.(lane) <- sums.((lane + 1) mod 3));
+    Alcotest.(check (array int)) (Printf.sprintf "slow lane %d" slow)
+      [| 6; 6; 6 |] a
+  done
+
+let test_team_interleaving () =
+  (* Regions of different schedulers and lane counts back to back on
+     the one team. *)
+  let scheds =
+    [ Parallel.Exec.spmd ~lanes:3;
+      Parallel.Exec.fork_join ~lanes:2;
+      Parallel.Exec.spmd ~lanes:2 ]
+  in
+  for round = 1 to 20 do
+    List.iter
+      (fun sched ->
+        check_region_cover
+          (Printf.sprintf "round %d, %s" round (Parallel.Exec.describe sched))
+          sched 41)
+      scheds
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Exec                                                                *)
@@ -332,8 +408,7 @@ let test_exec_parallel_for () =
       let a = Array.make 1000 0. in
       Parallel.Exec.parallel_for sched ~lo:0 ~hi:1000 (fun i ->
           a.(i) <- float_of_int i);
-      check_float (name ^ " sum") 499500. (Array.fold_left ( +. ) 0. a);
-      Parallel.Exec.shutdown sched)
+      check_float (name ^ " sum") 499500. (Array.fold_left ( +. ) 0. a))
     (exec_kinds ())
 
 let test_exec_reduce_max () =
@@ -348,8 +423,7 @@ let test_exec_reduce_max () =
       let empty =
         Parallel.Exec.parallel_reduce_max sched ~lo:5 ~hi:5 (fun _ -> 1.)
       in
-      check_bool (name ^ " empty") true (empty = Float.neg_infinity);
-      Parallel.Exec.shutdown sched)
+      check_bool (name ^ " empty") true (empty = Float.neg_infinity))
     (exec_kinds ())
 
 let test_exec_region_counting () =
@@ -388,8 +462,7 @@ let test_exec_for_lanes_cover () =
           check_bool
             (Printf.sprintf "%s/%s lane ids in range" name sname)
             false (Atomic.get bad_lane))
-        [ ("static", None); ("dynamic", Some (Parallel.Chunk.Dynamic 7)) ];
-      Parallel.Exec.shutdown sched)
+        [ ("static", None); ("dynamic", Some (Parallel.Chunk.Dynamic 7)) ])
     (exec_kinds ())
 
 let test_exec_for_lanes_edges () =
@@ -407,8 +480,7 @@ let test_exec_for_lanes_edges () =
       let ran = Atomic.make false in
       Parallel.Exec.parallel_for_lanes sched ~lo:5 ~hi:5 (fun ~lane:_ _ ->
           Atomic.set ran true);
-      check_bool (name ^ " empty range runs nothing") false (Atomic.get ran);
-      Parallel.Exec.shutdown sched)
+      check_bool (name ^ " empty range runs nothing") false (Atomic.get ran))
     [ ("sequential", Parallel.Exec.sequential ());
       ("spmd", Parallel.Exec.spmd ~lanes:3);
       ("fork-join", Parallel.Exec.fork_join ~lanes:3) ]
@@ -462,8 +534,7 @@ let test_exec_parallel_phases () =
       check_int (name ^ " empty dispatches")
         (r0 + folded
         + match name with "fork-join" -> 0 | _ -> 1)
-        (Parallel.Exec.regions sched);
-      Parallel.Exec.shutdown sched)
+        (Parallel.Exec.regions sched))
     (exec_kinds ())
 
 let test_exec_phase_attribution () =
@@ -501,8 +572,7 @@ let test_exec_phase_attribution () =
         (rhs.Parallel.Exec.total_ns >= 0. && rk.Parallel.Exec.total_ns >= 0.);
       check_bool (name ^ " phase buckets sum to <= dispatch wall") true
         (rhs.Parallel.Exec.total_ns +. rk.Parallel.Exec.total_ns
-         <= wall +. 1e5);
-      Parallel.Exec.shutdown sched)
+         <= wall +. 1e5))
     (exec_kinds ())
 
 let test_exec_reduce_lanes () =
@@ -534,8 +604,7 @@ let test_exec_reduce_lanes () =
            ~combine:( +. )
            (fun ~acc:_ ~cell:_ ~lane:_ _ -> Alcotest.fail "body ran"));
       check_int (name ^ " empty opens no region") r0
-        (Parallel.Exec.regions sched);
-      Parallel.Exec.shutdown sched)
+        (Parallel.Exec.regions sched))
     (exec_kinds ())
 
 (* ------------------------------------------------------------------ *)
@@ -586,8 +655,7 @@ let test_exec_workspace_sized () =
     (fun (name, sched) ->
       check_int (name ^ " workspace lanes")
         (Parallel.Exec.lanes sched)
-        (Parallel.Workspace.lanes (Parallel.Exec.workspace sched));
-      Parallel.Exec.shutdown sched)
+        (Parallel.Workspace.lanes (Parallel.Exec.workspace sched)))
     (exec_kinds ())
 
 let test_clock_monotonic () =
@@ -606,7 +674,6 @@ let test_exec_describe () =
     (Parallel.Exec.describe (Parallel.Exec.sequential ()));
   let s = Parallel.Exec.spmd ~lanes:2 in
   Alcotest.(check string) "spmd" "spmd(2)" (Parallel.Exec.describe s);
-  Parallel.Exec.shutdown s;
   Alcotest.(check string) "fj" "fork-join(3)"
     (Parallel.Exec.describe (Parallel.Exec.fork_join ~lanes:3))
 
@@ -739,25 +806,25 @@ let () =
             test_chunk_of_matches_split;
           Alcotest.test_case "invalid" `Quick test_chunk_invalid ] );
       ( "pool",
-        [ Alcotest.test_case "parallel_for" `Quick test_pool_parallel_for;
-          Alcotest.test_case "lane ids" `Quick test_pool_lane_ids;
-          Alcotest.test_case "many regions" `Quick test_pool_many_regions;
-          Alcotest.test_case "single lane" `Quick test_pool_single_lane;
+        [ Alcotest.test_case "parallel_for" `Quick test_spmd_parallel_for;
+          Alcotest.test_case "lane ids" `Quick test_spmd_lane_ids;
+          Alcotest.test_case "many regions" `Quick test_spmd_many_regions;
+          Alcotest.test_case "single lane" `Quick test_spmd_single_lane;
           Alcotest.test_case "dynamic schedule" `Quick
-            test_pool_dynamic_schedule;
+            test_spmd_dynamic_schedule;
           Alcotest.test_case "schedule parsing" `Quick test_schedule_parsing;
           Alcotest.test_case "dynamic matches static" `Quick
             test_exec_dynamic_matches_static;
           Alcotest.test_case "exception propagates" `Quick
-            test_pool_exception_propagates;
+            test_spmd_exception_propagates;
           Alcotest.test_case "run_phases barrier" `Quick
-            test_pool_run_phases_barrier;
+            test_spmd_run_phases_barrier;
           Alcotest.test_case "run_phases hook" `Quick
-            test_pool_run_phases_on_phase;
+            test_spmd_run_phases_on_phase;
           Alcotest.test_case "run_phases exception" `Quick
-            test_pool_run_phases_exception;
+            test_spmd_run_phases_exception;
           Alcotest.test_case "stop idempotent" `Quick
-            test_pool_stop_idempotent ] );
+            test_spmd_stop_idempotent ] );
       ( "fork_join",
         [ Alcotest.test_case "correct" `Quick test_fork_join_correct;
           Alcotest.test_case "region count" `Quick
@@ -770,6 +837,15 @@ let () =
             test_fork_join_varying_lanes;
           Alcotest.test_case "team bounded" `Quick
             test_fork_join_team_bounded ] );
+      ( "team",
+        [ Alcotest.test_case "spmd execs share the team" `Quick
+            test_team_spmd_no_leak;
+          Alcotest.test_case "nested phases inline" `Quick
+            test_team_nested_phases;
+          Alcotest.test_case "schedulers interleaved" `Quick
+            test_team_interleaving;
+          Alcotest.test_case "barrier waiters park" `Quick
+            test_team_barrier_parks ] );
       ( "exec",
         [ Alcotest.test_case "parallel_for" `Quick test_exec_parallel_for;
           Alcotest.test_case "reduce max" `Quick test_exec_reduce_max;

@@ -431,7 +431,6 @@ let test_eval_parallel_matches_sequential () =
       (Sac.Parser.parse_program src)
   in
   let par = Sac.Eval.run_fun ctx "f" [ Sac.Value.Vint 2000 ] in
-  Parallel.Exec.shutdown exec;
   Alcotest.check value_testable "parallel = sequential" seq par
 
 let test_eval_stats () =
