@@ -680,9 +680,9 @@ let hotpath () =
      past the parallel threshold, reduces across lanes (bitwise
      identical -- max is exactly associative).  The nx-cell Sod rows
      above never clear the 1024-element threshold, so the parallel
-     fold is timed here on its own large array.  On the single-core
-     reference machine the lane number shows dispatch overhead, not
-     speedup; on a multicore host it is a genuine scaling figure. *)
+     fold is timed here on its own large array.  Each lane folds one
+     contiguous box of it with the sequential walk, so the lane number
+     is measured strong scaling, bounded by the host's cores. *)
   let fold_n = if !quick then 20_000 else 200_000 in
   let fold_reps = if !quick then 20 else 200 in
   let fold_lanes = max 2 (min 4 (max_lanes ())) in
@@ -758,8 +758,8 @@ let hotpath () =
   Printf.fprintf oc "  \"fold\": {\n";
   Printf.fprintf oc
     "    \"note\": \"getDt fold(max) register kernel on one large \
-     array; lane timing is dispatch overhead on a single-core host, \
-     scaling on a multicore one\",\n";
+     array; each lane folds one contiguous box with the sequential \
+     walk, so par_speedup is measured strong scaling\",\n";
   Printf.fprintf oc "    \"elements\": %d,\n    \"calls\": %d,\n" fold_n
     fold_reps;
   Printf.fprintf oc "    \"seq_ms_per_call\": %.6f,\n" seq_ms;

@@ -42,7 +42,9 @@ let index_of_flat_into l u flat idx =
 
 let offset_of idx strides =
   let o = ref 0 in
-  Array.iteri (fun d x -> o := !o + (x * strides.(d))) idx;
+  for d = 0 to Array.length idx - 1 do
+    o := !o + (idx.(d) * strides.(d))
+  done;
   !o
 
 (* Growable buffers (OCaml 5.1 has no Dynarray). *)
@@ -1614,12 +1616,13 @@ let kdests code =
   (Array.of_list !fs, Array.of_list !is_)
 
 (* Batched register files: one [batch_width]-wide vector per scalar
-   register.  [bstart.(0)] holds the absolute index of the strip's
-   first element along the ramped (innermost) dimension and [blen.(0)]
-   the strip length; both are single-cell arrays so the compiled
-   closures read the current strip without any boxing.  The batched
-   blocks share the lane's scalar [kidx] for the non-ramped
-   dimensions (broadcast at each [KIv]) and its capture banks. *)
+   register, taken from the lane's shared {!strips} pool.  [bstart.(0)]
+   holds the absolute index of the strip's first element along the
+   ramped (innermost) dimension and [blen.(0)] the strip length; both
+   are single-cell arrays so the compiled closures read the current
+   strip without any boxing.  The batched blocks share the lane's
+   scalar [kidx] for the non-ramped dimensions (broadcast at each
+   [KIv]) and its capture banks. *)
 type bstate = {
   bfr : float array array;
   bir : int array array;
@@ -2298,15 +2301,14 @@ let build_batch ~ramp ~cls ~fullneed (code : kinstr array)
 (* ---------------- contexts and kernel caches --------------------- *)
 
 (* Per-lane kernel state: register files, the current index vector and
-   its row-major offset, maintained incrementally while a lane walks
-   consecutive flat positions ([klast]); [kgen] says which with-loop
-   execution the invariant prefix last ran for. *)
+   its row-major offset, maintained incrementally while a walk steps
+   its odometer; [kgen] says which with-loop execution the invariant
+   prefix last ran for. *)
 type klane = {
   kfr : float array;
   kir : int array;
   kidx : int array;
   mutable koff : int;
-  mutable klast : int;
   mutable kgen : int;
   mutable kmemf : float array;
       (* column memo: ncols x |klive_f| saved column live-outs *)
@@ -2332,6 +2334,18 @@ type centry = {
   clanes : klane option array;
 }
 
+(* One lane's batched register vectors, shared by every kernel the
+   lane runs: kernel [k] uses the first [knf]/[kni] of them.  A lane
+   runs one kernel walk at a time and every batched walk seeds what it
+   reads (the prefix broadcast, then each block writes before it
+   reads), so nothing leaks between kernels.  The pool only grows: the
+   threaded batch closures capture its vectors, so a vector, once
+   handed out, is never replaced. *)
+type strips = {
+  mutable sfr : float array array;
+  mutable sir : int array array;
+}
+
 type ctx = {
   bc : B.program;
   st : Eval.stats;
@@ -2350,6 +2364,7 @@ type ctx = {
   loops : int Atomic.t;           (* with-loops and builtin array ops *)
   elems : int Atomic.t;           (* their element counts *)
   nlanes : int;
+  strips : strips array;          (* by lane *)
   (* Only the orchestrating domain reaches these two: [get_kernel]
      refuses calls from inside a parallel region. *)
   mutable wgen : int;             (* with-execution counter *)
@@ -2362,6 +2377,9 @@ let make_ctx ?exec ?(parallel_threshold = 1024) ?(kernels = true) bc =
       if List.mem f.fname Builtins.names then
         raise (Eval.Error ("function redefines builtin: " ^ f.fname)))
     bc.B.source;
+  let nlanes =
+    match exec with Some e -> Parallel.Exec.lanes e | None -> 1
+  in
   { bc;
     st = Eval.fresh_stats ();
     exec;
@@ -2373,7 +2391,8 @@ let make_ctx ?exec ?(parallel_threshold = 1024) ?(kernels = true) bc =
     fcalls = Array.init (Array.length bc.B.funcs) (fun _ -> Atomic.make 0);
     loops = Atomic.make 0;
     elems = Atomic.make 0;
-    nlanes = (match exec with Some e -> Parallel.Exec.lanes e | None -> 1);
+    nlanes;
+    strips = Array.init nlanes (fun _ -> { sfr = [||]; sir = [||] });
     wgen = 0;
     kfolds = 0 }
 
@@ -2548,7 +2567,6 @@ let lane_state ctx entry k rank lane =
   | Some st ->
     if st.kgen <> ctx.wgen then begin
       st.tpre ();
-      st.klast <- min_int;
       st.kgen <- ctx.wgen
     end;
     st
@@ -2571,7 +2589,6 @@ let lane_state ctx entry k rank lane =
         kir;
         kidx;
         koff = 0;
-        klast = min_int;
         kgen = ctx.wgen;
         kmemf = [||];
         kmemi = [||];
@@ -2587,10 +2604,21 @@ let lane_state ctx entry k rank lane =
     entry.clanes.(lane) <- Some st;
     st
 
+(* The first [nf] float and [ni] int vectors of a lane's strip pool,
+   growing it on demand. *)
+let strip_regs pool nf ni =
+  let grow a n mk =
+    let m = Array.length a in
+    if m >= n then a else Array.append a (Array.init (n - m) mk)
+  in
+  pool.sfr <- grow pool.sfr nf (fun _ -> Array.make batch_width 0.0);
+  pool.sir <- grow pool.sir ni (fun _ -> Array.make batch_width 0);
+  (Array.sub pool.sfr 0 nf, Array.sub pool.sir 0 ni)
+
 (* The lane's strip-compiled blocks, built on first demand.  The ramp
    is always the innermost dimension: every batched walk strips along
    it. *)
-let batch_state k st rank bk =
+let batch_state ctx ~lane k st rank bk =
   match st.kbatch with
   | Some _ as s -> s
   | None ->
@@ -2599,8 +2627,7 @@ let batch_state k st rank bk =
       st.kbtried <- true;
       if batchable k.kcol then begin
         let code_ok = batchable k.kcode in
-        let bfr = Array.init k.knf (fun _ -> Array.make batch_width 0.0) in
-        let bir = Array.init k.kni (fun _ -> Array.make batch_width 0) in
+        let bfr, bir = strip_regs ctx.strips.(lane) k.knf k.kni in
         let bstart = Array.make 1 0 in
         let blen = Array.make 1 0 in
         let ramp = rank - 1 in
@@ -2654,9 +2681,15 @@ let seed_batch bs st =
     Array.fill bs.bir.(d) 0 batch_width st.kir.(d)
   done
 
-(* Advance [kidx]/[koff] from flat position [klast] to [klast + 1]. *)
-let bump_odometer st l u strides =
-  let d = ref (Array.length l - 1) in
+(* Put [kidx]/[koff] on the first position of the box [l, u). *)
+let start_odometer st l strides =
+  Array.blit l 0 st.kidx 0 (Array.length l);
+  st.koff <- offset_of st.kidx strides
+
+(* Advance [kidx]/[koff] to the next row-major position of [l, u)
+   whose dimensions after [top] are unchanged. *)
+let bump_odometer st top l u strides =
+  let d = ref top in
   let continue_ = ref true in
   while !continue_ do
     let dd = !d in
@@ -2672,20 +2705,6 @@ let bump_odometer st l u strides =
       decr d
     end
   done
-
-(* Per-element step without column memoisation: runs the column block
-   (usually empty) and the per-element code.  Used by parallel lanes,
-   whose chunks start mid-range. *)
-let kelem k st l u strides data flat =
-  if flat = st.klast + 1 then bump_odometer st l u strides
-  else begin
-    index_of_flat_into l u flat st.kidx;
-    st.koff <- offset_of st.kidx strides
-  end;
-  if Array.length k.kcol > 0 then st.tcol ();
-  st.tcode ();
-  Array.unsafe_set data st.koff (Array.unsafe_get st.kfr k.kout);
-  st.klast <- flat
 
 (* Grow the lane's column-memo scratch to [ncols] columns. *)
 let ensure_memo k st ncols =
@@ -2752,169 +2771,274 @@ let guards_hold k kir l u =
           List.exists (List.for_all (fun b -> hi_val b < ext)) alts)
       gs
 
-let kernel_fill ctx k entry data shape l u count =
+(* The lane split of a parallel with-loop over the non-empty [l, u):
+   [parts = min lanes extent] contiguous boxes cutting its widest
+   dimension, and [box which], the [which]-th of them.  Each lane runs
+   the sequential walk on its own box.  The widest dimension, not
+   dimension 0: a [3, n] fill cut on rows would leave two lanes 2:1
+   unbalanced. *)
+let lane_split exec l u =
+  let d = ref 0 in
+  Array.iteri (fun i li -> if u.(i) - li > u.(!d) - l.(!d) then d := i) l;
+  let d = !d in
+  let parts = min (Parallel.Exec.lanes exec) (u.(d) - l.(d)) in
+  let box which =
+    let r = Parallel.Chunk.chunk_of ~lo:l.(d) ~hi:u.(d) ~parts ~which in
+    let bl = Array.copy l and bu = Array.copy u in
+    bl.(d) <- r.Parallel.Chunk.lo;
+    bu.(d) <- r.Parallel.Chunk.hi;
+    (bl, bu)
+  in
+  (parts, box)
+
+(* Fill the non-empty box [l, u) of [data] on lane [lane]'s state. *)
+let fill_walk ctx k entry ~lane data strides l u =
   let rank = Array.length l in
-  let strides = Tensor.Shape.strides shape in
-  if count > 0 then
-    match ctx.exec with
-    | Some exec when count >= ctx.parallel_threshold ->
-      Parallel.Exec.parallel_for_lanes exec ~lo:0 ~hi:count
-        (fun ~lane flat ->
-          let st = lane_state ctx entry k rank lane in
-          kelem k st l u strides data flat)
-    | _ ->
-      let st = lane_state ctx entry k rank 0 in
-      let elide = guards_hold k st.kir l u in
-      match
-        if elide && rank <= 2 then batch_state k st rank entry.cbanks
-        else None
-      with
-      | Some bs when bs.bcode_ok ->
-        (* Strip-batched walk: one instruction dispatch covers up to
-           [batch_width] elements of the innermost dimension.  For
-           rank 2 the column block runs batched once per strip — each
-           lane holds its own column's values, so every row of the
-           strip reads them as vectors. *)
-        seed_batch bs st;
-        let bout = bs.bfr.(k.kout) in
-        let bstart = bs.bstart and blen = bs.blen in
-        (if rank = 1 then begin
-           let s0 = strides.(0) in
-           let lo = l.(0) and hi = u.(0) in
-           let s = ref lo in
-           while !s < hi do
-             let len = min batch_width (hi - !s) in
-             bstart.(0) <- !s;
-             blen.(0) <- len;
-             bs.btcode ();
-             if s0 = 1 then Array.blit bout 0 data !s len
-             else begin
-               let off = ref (!s * s0) in
-               for j = 0 to len - 1 do
-                 Array.unsafe_set data !off (Array.unsafe_get bout j);
-                 off := !off + s0
-               done
-             end;
-             s := !s + len
-           done
-         end
+  let count = frame_size l u in
+  let st = lane_state ctx entry k rank lane in
+  let elide = guards_hold k st.kir l u in
+  match
+    if elide && rank <= 2 then batch_state ctx ~lane k st rank entry.cbanks
+    else None
+  with
+  | Some bs when bs.bcode_ok ->
+    (* Strip-batched walk: one instruction dispatch covers up to
+       [batch_width] elements of the innermost dimension.  For
+       rank 2 the column block runs batched once per strip — each
+       lane holds its own column's values, so every row of the
+       strip reads them as vectors. *)
+    seed_batch bs st;
+    let bout = bs.bfr.(k.kout) in
+    let bstart = bs.bstart and blen = bs.blen in
+    (if rank = 1 then begin
+       let s0 = strides.(0) in
+       let lo = l.(0) and hi = u.(0) in
+       let s = ref lo in
+       while !s < hi do
+         let len = min batch_width (hi - !s) in
+         bstart.(0) <- !s;
+         blen.(0) <- len;
+         bs.btcode ();
+         if s0 = 1 then Array.blit bout 0 data !s len
          else begin
-           let s0 = strides.(0) and s1 = strides.(1) in
-           let kidx = st.kidx in
-           let l1 = l.(1) and u1 = u.(1) in
-           let has_col = Array.length k.kcol > 0 in
-           let s = ref l1 in
-           while !s < u1 do
-             let len = min batch_width (u1 - !s) in
-             bstart.(0) <- !s;
-             blen.(0) <- len;
-             if has_col then bs.btcol ();
-             for r = l.(0) to u.(0) - 1 do
-               Array.unsafe_set kidx 0 r;
-               bs.btcode ();
-               if s1 = 1 then Array.blit bout 0 data ((r * s0) + !s) len
-               else begin
-                 let off = ref ((r * s0) + (!s * s1)) in
-                 for j = 0 to len - 1 do
-                   Array.unsafe_set data !off (Array.unsafe_get bout j);
-                   off := !off + s1
-                 done
-               end
-             done;
-             s := !s + len
-           done
-         end);
-        st.klast <- min_int
-      | _ ->
-      let tcode = if elide then st.tcode_u else st.tcode in
-      if Array.length k.kcol = 0 then begin
-        (match rank with
-         | 1 ->
-           (* Dense low-rank walks: drive the index registers with
-              plain nested loops instead of the per-element odometer
-              closure — same visit order, same offsets, just no
-              flat-index bookkeeping. *)
-           let kidx = st.kidx and kfr = st.kfr in
-           let out = k.kout and s0 = strides.(0) in
-           let lo = l.(0) and hi = u.(0) - 1 in
-           let off = ref (l.(0) * s0) in
-           for i = lo to hi do
-             Array.unsafe_set kidx 0 i;
-             tcode ();
-             Array.unsafe_set data !off (Array.unsafe_get kfr out);
+           let off = ref (!s * s0) in
+           for j = 0 to len - 1 do
+             Array.unsafe_set data !off (Array.unsafe_get bout j);
              off := !off + s0
            done
-         | 2 ->
-           let kidx = st.kidx and kfr = st.kfr in
-           let out = k.kout in
-           let s0 = strides.(0) and s1 = strides.(1) in
-           let l1 = l.(1) and hi1 = u.(1) - 1 in
-           for r = l.(0) to u.(0) - 1 do
-             Array.unsafe_set kidx 0 r;
-             let off = ref ((r * s0) + (l1 * s1)) in
-             for c = l1 to hi1 do
-               Array.unsafe_set kidx 1 c;
-               tcode ();
-               Array.unsafe_set data !off (Array.unsafe_get kfr out);
+         end;
+         s := !s + len
+       done
+     end
+     else begin
+       let s0 = strides.(0) and s1 = strides.(1) in
+       let kidx = st.kidx in
+       let l1 = l.(1) and u1 = u.(1) in
+       let has_col = Array.length k.kcol > 0 in
+       let s = ref l1 in
+       while !s < u1 do
+         let len = min batch_width (u1 - !s) in
+         bstart.(0) <- !s;
+         blen.(0) <- len;
+         if has_col then bs.btcol ();
+         for r = l.(0) to u.(0) - 1 do
+           Array.unsafe_set kidx 0 r;
+           bs.btcode ();
+           if s1 = 1 then Array.blit bout 0 data ((r * s0) + !s) len
+           else begin
+             let off = ref ((r * s0) + (!s * s1)) in
+             for j = 0 to len - 1 do
+               Array.unsafe_set data !off (Array.unsafe_get bout j);
                off := !off + s1
              done
-           done
-         | _ ->
-           for flat = 0 to count - 1 do
-             if flat = st.klast + 1 then bump_odometer st l u strides
-             else begin
-               index_of_flat_into l u flat st.kidx;
-               st.koff <- offset_of st.kidx strides
-             end;
+           end
+         done;
+         s := !s + len
+       done
+     end)
+  | _ ->
+    let tcode = if elide then st.tcode_u else st.tcode in
+    if Array.length k.kcol = 0 then begin
+      (match rank with
+       | 1 ->
+         (* Dense low-rank walks: drive the index registers with
+            plain nested loops instead of the per-element odometer
+            closure — same visit order, same offsets, just no
+            flat-index bookkeeping. *)
+         let kidx = st.kidx and kfr = st.kfr in
+         let out = k.kout and s0 = strides.(0) in
+         let lo = l.(0) and hi = u.(0) - 1 in
+         let off = ref (l.(0) * s0) in
+         for i = lo to hi do
+           Array.unsafe_set kidx 0 i;
+           tcode ();
+           Array.unsafe_set data !off (Array.unsafe_get kfr out);
+           off := !off + s0
+         done
+       | 2 ->
+         let kidx = st.kidx and kfr = st.kfr in
+         let out = k.kout in
+         let s0 = strides.(0) and s1 = strides.(1) in
+         let l1 = l.(1) and hi1 = u.(1) - 1 in
+         for r = l.(0) to u.(0) - 1 do
+           Array.unsafe_set kidx 0 r;
+           let off = ref ((r * s0) + (l1 * s1)) in
+           for c = l1 to hi1 do
+             Array.unsafe_set kidx 1 c;
              tcode ();
-             Array.unsafe_set data st.koff (Array.unsafe_get st.kfr k.kout);
-             st.klast <- flat
-           done);
-        st.klast <- min_int
-      end
-      else begin
-        (* Column-outer walk: run the column block once per column,
-           then sweep the outer dimensions with the per-element code
-           while the column registers sit untouched in the register
-           file.  Element values are written to the same offsets as the
-           row-major walk; only the visit order — and hence which of
-           several runtime errors inside the loop surfaces first —
-           changes. *)
-        let tcol = if elide then st.tcol_u else st.tcol in
-        let ncols = u.(rank - 1) - l.(rank - 1) in
-        let nrows = count / ncols in
-        for jc = 0 to ncols - 1 do
-          let off = ref 0 in
-          for d = 0 to rank - 2 do
-            st.kidx.(d) <- l.(d);
-            off := !off + (l.(d) * strides.(d))
-          done;
-          st.kidx.(rank - 1) <- l.(rank - 1) + jc;
-          off := !off + ((l.(rank - 1) + jc) * strides.(rank - 1));
-          tcol ();
-          for _row = 0 to nrows - 1 do
-            tcode ();
-            Array.unsafe_set data !off (Array.unsafe_get st.kfr k.kout);
-            let d = ref (rank - 2) in
-            let cont = ref true in
-            while !cont && !d >= 0 do
-              let dd = !d in
-              let x = st.kidx.(dd) + 1 in
-              if x < u.(dd) then begin
-                st.kidx.(dd) <- x;
-                off := !off + strides.(dd);
-                cont := false
-              end
-              else begin
-                st.kidx.(dd) <- l.(dd);
-                off := !off - ((u.(dd) - 1 - l.(dd)) * strides.(dd));
-                decr d
-              end
+             Array.unsafe_set data !off (Array.unsafe_get kfr out);
+             off := !off + s1
+           done
+         done
+       | _ ->
+         for flat = 0 to count - 1 do
+           if flat = 0 then start_odometer st l strides
+           else bump_odometer st (rank - 1) l u strides;
+           tcode ();
+           Array.unsafe_set data st.koff (Array.unsafe_get st.kfr k.kout)
+         done)
+    end
+    else begin
+      (* Column-outer walk: run the column block once per column,
+         then sweep the outer dimensions with the per-element code
+         while the column registers sit untouched in the register
+         file.  Element values are written to the same offsets as the
+         row-major walk; only the visit order — and hence which of
+         several runtime errors inside the loop surfaces first —
+         changes. *)
+      let tcol = if elide then st.tcol_u else st.tcol in
+      let last = rank - 1 in
+      let ncols = u.(last) - l.(last) in
+      let nrows = count / ncols in
+      for jc = 0 to ncols - 1 do
+        start_odometer st l strides;
+        st.kidx.(last) <- l.(last) + jc;
+        st.koff <- st.koff + (jc * strides.(last));
+        tcol ();
+        for row = 0 to nrows - 1 do
+          if row > 0 then bump_odometer st (last - 1) l u strides;
+          tcode ();
+          Array.unsafe_set data st.koff (Array.unsafe_get st.kfr k.kout)
+        done
+      done
+    end
+
+let kernel_fill ctx k entry data shape l u count =
+  let strides = Tensor.Shape.strides shape in
+  match ctx.exec with
+  | Some exec when count >= ctx.parallel_threshold ->
+    let parts, box = lane_split exec l u in
+    Parallel.Exec.parallel_for_lanes exec ~lo:0 ~hi:parts
+      (fun ~lane which ->
+        let bl, bu = box which in
+        fill_walk ctx k entry ~lane data strides bl bu)
+  | _ -> fill_walk ctx k entry ~lane:0 data strides l u
+
+let fold_fn = function
+  | Fsum -> ( +. )
+  | Fprod -> ( *. )
+  | Fmax -> Float.max
+  | Fmin -> Float.min
+
+(* Fold the non-empty box [l, u) into [init] on lane [lane]'s state,
+   combining element values in row-major order. *)
+let fold_walk ctx k entry ~lane op l u init =
+  let rank = Array.length l in
+  let st = lane_state ctx entry k rank lane in
+  let elide = guards_hold k st.kir l u in
+  let tcode = if elide then st.tcode_u else st.tcode in
+  let acc = ref init in
+  (if rank = 1 then begin
+     match
+       if elide then batch_state ctx ~lane k st rank entry.cbanks else None
+     with
+     | Some bs when bs.bcode_ok ->
+       (* Strip-batched fold: compute the body for a strip of the
+          range, then combine the strip's lanes in ascending index
+          order — exactly the sequential walk's combine sequence, so
+          the result is bitwise identical for every fold operator,
+          rounding included. *)
+       seed_batch bs st;
+       let bout = bs.bfr.(k.kout) in
+       let hi = u.(0) in
+       let s = ref l.(0) in
+       while !s < hi do
+         let len = min batch_width (hi - !s) in
+         bs.bstart.(0) <- !s;
+         bs.blen.(0) <- len;
+         bs.btcode ();
+         (match op with
+          | Fsum ->
+            for j = 0 to len - 1 do
+              acc := !acc +. Array.unsafe_get bout j
             done
+          | Fprod ->
+            for j = 0 to len - 1 do
+              acc := !acc *. Array.unsafe_get bout j
+            done
+          | Fmax ->
+            for j = 0 to len - 1 do
+              acc := Float.max !acc (Array.unsafe_get bout j)
+            done
+          | Fmin ->
+            for j = 0 to len - 1 do
+              acc := Float.min !acc (Array.unsafe_get bout j)
+            done);
+         s := !s + len
+       done
+     | _ ->
+       (* Dense rank-1 walk: no odometer, no column block (column
+          homing needs rank >= 2), and one loop per fold op so the
+          combine is a direct call — [Float.max]/[Float.min] exactly
+          (NaN and signed-zero semantics), never a [>=]-select. *)
+       let kidx = st.kidx and kfr = st.kfr in
+       let out = k.kout in
+       let lo = l.(0) and hi = u.(0) - 1 in
+       (match op with
+        | Fsum ->
+          for i = lo to hi do
+            Array.unsafe_set kidx 0 i;
+            tcode ();
+            acc := !acc +. Array.unsafe_get kfr out
           done
-        done;
-        st.klast <- min_int
-      end
+        | Fprod ->
+          for i = lo to hi do
+            Array.unsafe_set kidx 0 i;
+            tcode ();
+            acc := !acc *. Array.unsafe_get kfr out
+          done
+        | Fmax ->
+          for i = lo to hi do
+            Array.unsafe_set kidx 0 i;
+            tcode ();
+            acc := Float.max !acc (Array.unsafe_get kfr out)
+          done
+        | Fmin ->
+          for i = lo to hi do
+            Array.unsafe_set kidx 0 i;
+            tcode ();
+            acc := Float.min !acc (Array.unsafe_get kfr out)
+          done)
+   end
+   else begin
+     let f = fold_fn op in
+     let strides = Array.make rank 0 in
+     let has_col = Array.length k.kcol > 0 in
+     let ncols = if has_col then u.(rank - 1) - l.(rank - 1) else 1 in
+     if has_col then ensure_memo k st ncols;
+     let tcol = if elide then st.tcol_u else st.tcol in
+     let c = ref 0 in
+     for flat = 0 to frame_size l u - 1 do
+       if flat = 0 then start_odometer st l strides
+       else bump_odometer st (rank - 1) l u strides;
+       if has_col then col_step k st tcol !c ~first:(flat < ncols);
+       tcode ();
+       acc := f !acc (Array.unsafe_get st.kfr k.kout);
+       incr c;
+       if !c = ncols then c := 0
+     done
+   end);
+  !acc
 
 (* ---------------- the stack machine ------------------------------ *)
 
@@ -2943,6 +3067,15 @@ let index_value va vi =
     if i < 0 || i >= Array.length v then err "index out of bounds"
     else Value.Vint v.(i)
   | _ -> err "bad indexing operands"
+
+(* A fresh frame for a with-loop body: the index vector [idx] in slot
+   0, then the captures; and an operand stack. *)
+let body_frame w frame rank =
+  let idx = Array.make rank 0 in
+  let bframe = Array.make w.B.w_body_slots (Value.Vint 0) in
+  bframe.(0) <- Value.Vivec idx;
+  Array.iteri (fun j slot -> bframe.(j + 1) <- frame.(slot)) w.B.w_captures;
+  (idx, bframe, Array.make w.B.w_body_stack (Value.Vint 0))
 
 let func_index ctx fd =
   let funcs = ctx.bc.B.funcs in
@@ -3157,162 +3290,38 @@ and exec_fold ctx ~par w frame op lb ub neutral =
   let l, u = frame_of lb ub in
   let count = frame_size l u in
   note ctx count;
-  let f =
-    match op with
-    | Fsum -> ( +. )
-    | Fprod -> ( *. )
-    | Fmax -> Float.max
-    | Fmin -> Float.min
-  in
+  let f = fold_fn op in
   let acc = ref (Value.to_float neutral) in
   let rank = Array.length l in
   (if count > 0 then
      match get_kernel ctx ~par w frame rank with
      | Some (k, entry) ->
        ctx.kfolds <- ctx.kfolds + 1;
-       let order_free =
-         match op with Fmax | Fmin -> true | Fsum | Fprod -> false
-       in
-       (match ctx.exec with
-        | Some exec when order_free && count >= ctx.parallel_threshold ->
-          (* Parallel reduction: each lane folds its chunk into a
-             private slot, and the orchestrator combines the slots in
+       (match (ctx.exec, op) with
+        | Some exec, (Fmax | Fmin) when count >= ctx.parallel_threshold ->
+          (* Parallel reduction: each lane folds its box into a private
+             slot, and the orchestrator combines the slots in ascending
              lane order after the barrier.  Only max/min take this
              path: they are exactly associative, commutative and
              idempotent in IEEE arithmetic (no rounding), so the
              result is bitwise-identical to the sequential walk no
-             matter how the range is chunked, and the neutral element
+             matter how the range is cut, and the neutral element
              seeding every lane slot is absorbed.  Sum/product would
              change the rounding order, so they keep the sequential
              walk and the bitwise pin against {!Eval}.  [get_kernel]
              already refused nested-parallel calls ([par]). *)
-          let strides = Array.make rank 0 in
-          let has_col = Array.length k.kcol > 0 in
+          let parts, box = lane_split exec l u in
           acc :=
             Parallel.Exec.parallel_reduce_lanes exec
-              ~region:Parallel.Exec.Reduce ~lo:0 ~hi:count ~init:!acc
+              ~region:Parallel.Exec.Reduce ~lo:0 ~hi:parts ~init:!acc
               ~combine:f
-              (fun ~acc:slots ~cell ~lane flat ->
-                let st = lane_state ctx entry k rank lane in
-                if flat = st.klast + 1 then bump_odometer st l u strides
-                else index_of_flat_into l u flat st.kidx;
-                if has_col then st.tcol ();
-                st.tcode ();
-                Array.unsafe_set slots cell
-                  (f
-                     (Array.unsafe_get slots cell)
-                     (Array.unsafe_get st.kfr k.kout));
-                st.klast <- flat)
-        | _ ->
-          let st = lane_state ctx entry k rank 0 in
-          let elide = guards_hold k st.kir l u in
-          let tcode = if elide then st.tcode_u else st.tcode in
-          if rank = 1 then begin
-            match
-              if elide then batch_state k st rank entry.cbanks else None
-            with
-            | Some bs when bs.bcode_ok ->
-              (* Strip-batched fold: compute the body for a strip of
-                 the range, then combine the strip's lanes in
-                 ascending index order — exactly the sequential
-                 walk's combine sequence, so the result is bitwise
-                 identical for every fold operator, rounding
-                 included. *)
-              seed_batch bs st;
-              let bout = bs.bfr.(k.kout) in
-              let lo = l.(0) and hi = u.(0) in
-              let a = ref !acc in
-              let s = ref lo in
-              while !s < hi do
-                let len = min batch_width (hi - !s) in
-                bs.bstart.(0) <- !s;
-                bs.blen.(0) <- len;
-                bs.btcode ();
-                (match op with
-                 | Fsum ->
-                   for j = 0 to len - 1 do
-                     a := !a +. Array.unsafe_get bout j
-                   done
-                 | Fprod ->
-                   for j = 0 to len - 1 do
-                     a := !a *. Array.unsafe_get bout j
-                   done
-                 | Fmax ->
-                   for j = 0 to len - 1 do
-                     a := Float.max !a (Array.unsafe_get bout j)
-                   done
-                 | Fmin ->
-                   for j = 0 to len - 1 do
-                     a := Float.min !a (Array.unsafe_get bout j)
-                   done);
-                s := !s + len
-              done;
-              acc := !a
-            | _ ->
-            (* Dense rank-1 walk: no odometer, no column block (column
-               homing needs rank >= 2), and one loop per fold op so
-               the combine is a direct call — [Float.max]/[Float.min]
-               exactly (NaN and signed-zero semantics), never a
-               [>=]-select. *)
-            let kidx = st.kidx and kfr = st.kfr in
-            let out = k.kout in
-            let lo = l.(0) and hi = u.(0) - 1 in
-            let a = ref !acc in
-            (match op with
-             | Fsum ->
-               for i = lo to hi do
-                 Array.unsafe_set kidx 0 i;
-                 tcode ();
-                 a := !a +. Array.unsafe_get kfr out
-               done
-             | Fprod ->
-               for i = lo to hi do
-                 Array.unsafe_set kidx 0 i;
-                 tcode ();
-                 a := !a *. Array.unsafe_get kfr out
-               done
-             | Fmax ->
-               for i = lo to hi do
-                 Array.unsafe_set kidx 0 i;
-                 tcode ();
-                 a := Float.max !a (Array.unsafe_get kfr out)
-               done
-             | Fmin ->
-               for i = lo to hi do
-                 Array.unsafe_set kidx 0 i;
-                 tcode ();
-                 a := Float.min !a (Array.unsafe_get kfr out)
-               done);
-            acc := !a
-          end
-          else begin
-            let strides = Array.make rank 0 in
-            let has_col = Array.length k.kcol > 0 in
-            let ncols =
-              if has_col then u.(rank - 1) - l.(rank - 1) else 1
-            in
-            if has_col then ensure_memo k st ncols;
-            let tcol = if elide then st.tcol_u else st.tcol in
-            let c = ref 0 in
-            for flat = 0 to count - 1 do
-              if flat = st.klast + 1 then bump_odometer st l u strides
-              else index_of_flat_into l u flat st.kidx;
-              if has_col then col_step k st tcol !c ~first:(flat < ncols);
-              tcode ();
-              acc := f !acc (Array.unsafe_get st.kfr k.kout);
-              st.klast <- flat;
-              incr c;
-              if !c = ncols then c := 0
-            done
-          end)
+              (fun ~acc:slots ~cell ~lane which ->
+                let bl, bu = box which in
+                slots.(cell) <-
+                  fold_walk ctx k entry ~lane op bl bu slots.(cell))
+        | _ -> acc := fold_walk ctx k entry ~lane:0 op l u !acc)
      | None ->
-       let idx = Array.make rank 0 in
-       let bframe = Array.make w.B.w_body_slots (Value.Vint 0) in
-       bframe.(0) <- Value.Vivec idx;
-       Array.iteri
-         (fun j slot -> bframe.(j + 1) <- frame.(slot))
-         w.B.w_captures;
-       let stack = Array.make w.B.w_body_stack (Value.Vint 0) in
+       let idx, bframe, stack = body_frame w frame rank in
        for flat = 0 to count - 1 do
          index_of_flat_into l u flat idx;
          acc :=
@@ -3330,41 +3339,23 @@ and fill ctx ~par w frame data shape l u count =
 
 and generic_fill ctx ~par w frame data shape l u count =
   let strides = Tensor.Shape.strides shape in
-  let rank = Array.length l in
-  let ncaps = Array.length w.B.w_captures in
-  let new_lane () =
-    let idx = Array.make rank 0 in
-    let bframe = Array.make w.B.w_body_slots (Value.Vint 0) in
-    bframe.(0) <- Value.Vivec idx;
-    for j = 0 to ncaps - 1 do
-      bframe.(j + 1) <- frame.(w.B.w_captures.(j))
-    done;
-    (idx, bframe, Array.make w.B.w_body_stack (Value.Vint 0))
-  in
-  let elem ~par (idx, bframe, stack) flat =
-    index_of_flat_into l u flat idx;
-    let v = run_code ctx ~par w.B.w_fun w.B.w_body bframe stack in
-    data.(offset_of idx strides) <- Value.to_float v
+  (* The sequential walk over the box [l, u), with its own frame. *)
+  let walk ~par l u =
+    let idx, bframe, stack = body_frame w frame (Array.length l) in
+    for flat = 0 to frame_size l u - 1 do
+      index_of_flat_into l u flat idx;
+      let v = run_code ctx ~par w.B.w_fun w.B.w_body bframe stack in
+      data.(offset_of idx strides) <- Value.to_float v
+    done
   in
   match ctx.exec with
   | Some exec when (not par) && count >= ctx.parallel_threshold ->
-    let lanes = Array.make ctx.nlanes None in
-    Parallel.Exec.parallel_for_lanes exec ~lo:0 ~hi:count
-      (fun ~lane flat ->
-        let st =
-          match lanes.(lane) with
-          | Some st -> st
-          | None ->
-            let st = new_lane () in
-            lanes.(lane) <- Some st;
-            st
-        in
-        elem ~par:true st flat)
-  | _ ->
-    let st = new_lane () in
-    for flat = 0 to count - 1 do
-      elem ~par st flat
-    done
+    let parts, box = lane_split exec l u in
+    Parallel.Exec.parallel_for_lanes exec ~lo:0 ~hi:parts
+      (fun ~lane:_ which ->
+        let bl, bu = box which in
+        walk ~par:true bl bu)
+  | _ -> walk ~par l u
 
 let run_fun ctx name args =
   match lookup_fun ctx.bc.B.source name with

@@ -5,7 +5,7 @@
     same error messages, and the same {!Eval.stats} counts.  One
     caveat: inside a single with-loop range the specialised drivers
     may visit elements in a different order than {!Eval}'s row-major
-    walk (column-outer execution), so when
+    walk (column-outer execution, lane boxes), so when
     several elements of one range would each raise, which error
     surfaces first can differ — the set of possible errors, and
     whether the range errors at all, cannot.
@@ -20,8 +20,10 @@
     reduction: every program runs either way, with identical results.
 
     Explicit genarray/modarray partitions of at least
-    [parallel_threshold] elements run as parallel regions when [exec]
-    is given.  Specialised [fold] kernels over max/min also
+    [parallel_threshold] elements run as one region when [exec] is
+    given: the partition is cut along its widest dimension into one
+    contiguous box per lane, and each lane runs the sequential walk on
+    its box.  Specialised [fold] kernels over max/min also
     parallelise at that threshold — per-lane accumulator slots
     combined deterministically in lane order, bitwise-identical to the
     sequential walk because max/min are exactly associative and

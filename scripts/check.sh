@@ -53,10 +53,10 @@ echo "check.sh: sacc smoke passed"
 # Hotpath artefact validation (hotpath-v3).  The fold section must be
 # present, bitwise-pinned, fully kernelised and faster than the
 # generic (kernels-off) walk; the VM row must beat the interpreter.
-# The <= 1.2x reference-parity floor binds on full-size artefacts
-# (quick grids are overhead-dominated and exempt): a non-quick
-# BENCH_hotpath.json above the floor fails this script with a
-# non-zero exit.  The same predicate runs on the quick smoke here and
+# The <= 1.2x reference-parity floor and the >= 1.2x 2-lane fold
+# scaling floor bind on full-size artefacts (quick grids are
+# overhead-dominated and exempt): a non-quick BENCH_hotpath.json
+# missing either fails this script with a non-zero exit.  The same predicate runs on the quick smoke here and
 # on bench_out/BENCH_hotpath.json when a full run has left one.
 validate_hotpath() {
   hp_json="$1"
@@ -72,6 +72,7 @@ validate_hotpath() {
            and .seq_ms_per_call > 0
            and .kernel_speedup >= 1
            and .par_lanes >= 2)
+      and (.quick or .fold.par_speedup >= 1.2)
       and (.backends | length > 0)
       and ([.backends[] | select(.name == "sacprog-vm")] | length == 1)
       and ([.backends[] | select(.name == "sacprog-interp")] | length == 1)
@@ -107,6 +108,9 @@ vm = rows["sacprog-vm"]
 assert vm["speedup_vs_interp"] >= 1, "VM slower than the interpreter"
 assert vm["slowdown_vs_reference_sod"] > 0, "bad reference ratio"
 if not d["quick"]:
+    assert fold["par_speedup"] >= 1.2, (
+        "parallel fold below the 1.2x scaling floor: %.3fx"
+        % fold["par_speedup"])
     assert vm["slowdown_vs_reference_sod"] <= d["parity_target"], (
         "VM misses the %.1fx reference-parity floor: %.3fx"
         % (d["parity_target"], vm["slowdown_vs_reference_sod"]))

@@ -2,15 +2,28 @@
    the [Bytecode.pp] format (blessed from files, never hand-edited), a
    differential suite running every shipped program through the
    tree-walking interpreter and the VM (kernels on, kernels off,
-   1-lane, N-lane) asserting bitwise-identical values and statistics,
-   adversarial fold bodies pinning the parallel fold-kernel path, a
+   1-lane, N-lane, sequential executor, 2-lane fork/join) asserting
+   bitwise-identical values and statistics,
+   adversarial fold bodies pinning the parallel fold-kernel path,
+   lane-split cases cutting with-loops into per-lane boxes, a
    superinstruction on/off parity check, and error-message parity
    between the engines. *)
 
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-let value_testable = Alcotest.testable Sac.Value.pp Sac.Value.equal
+(* Bit-level equality: NaN matches NaN and -0.0 differs from 0.0,
+   which [Sac.Value.equal] (float [=]) would not tell apart. *)
+let bits_equal a b =
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  match (a, b) with
+  | Sac.Value.Vdbl x, Sac.Value.Vdbl y -> same x y
+  | Sac.Value.Vdarr x, Sac.Value.Vdarr y ->
+    Tensor.Nd.shape x = Tensor.Nd.shape y
+    && Array.for_all2 same x.Tensor.Nd.data y.Tensor.Nd.data
+  | _ -> Sac.Value.equal a b
+
+let bits_testable = Alcotest.testable Sac.Value.pp bits_equal
 
 let darr xs = Sac.Value.Vdarr (Tensor.Nd.of_list1 xs)
 let vd x = Sac.Value.Vdbl x
@@ -113,8 +126,18 @@ let run_seq runner seq =
 
 (* Vm_lane1 pins the degenerate team: a 1-lane SPMD executor with a
    tiny threshold takes the parallel dispatch path but reduces a
-   single lane slot.  Vm_parallel is the real N-lane path. *)
-type engine = Interp | Vm | Vm_generic | Vm_lane1 | Vm_parallel
+   single lane slot.  Vm_parallel is the real N-lane path.  Vm_seq
+   opens the same regions on the sequential executor (one box, lane
+   0), and Vm_fork_join cuts every parallel with-loop into two lane
+   boxes on the fork/join scheduler. *)
+type engine =
+  | Interp
+  | Vm
+  | Vm_generic
+  | Vm_lane1
+  | Vm_parallel
+  | Vm_seq
+  | Vm_fork_join
 
 let engine_label = function
   | Interp -> "interp"
@@ -122,6 +145,16 @@ let engine_label = function
   | Vm_generic -> "vm-generic"
   | Vm_lane1 -> "vm-1lane"
   | Vm_parallel -> "vm-parallel"
+  | Vm_seq -> "vm-seq-exec"
+  | Vm_fork_join -> "vm-forkjoin-2"
+
+(* The executor of an engine that runs with one (threshold 4). *)
+let engine_exec = function
+  | Vm_lane1 -> Parallel.Exec.spmd ~lanes:1
+  | Vm_parallel -> Parallel.Exec.spmd ~lanes:4
+  | Vm_seq -> Parallel.Exec.sequential ()
+  | Vm_fork_join -> Parallel.Exec.fork_join ~lanes:2
+  | Interp | Vm | Vm_generic -> invalid_arg "engine_exec"
 
 let run_engine engine prog bc seq =
   match engine with
@@ -137,20 +170,13 @@ let run_engine engine prog bc seq =
     let ctx = Sac.Vm.make_ctx ~kernels:false bc in
     let r = run_seq (Sac.Vm.run_fun ctx) seq in
     (r, Sac.Vm.stats ctx)
-  | Vm_lane1 ->
-    let exec = Parallel.Exec.spmd ~lanes:1 in
+  | Vm_lane1 | Vm_parallel | Vm_seq | Vm_fork_join ->
+    let exec = engine_exec engine in
     let ctx = Sac.Vm.make_ctx ~exec ~parallel_threshold:4 bc in
     let r = run_seq (Sac.Vm.run_fun ctx) seq in
-    let s = Sac.Vm.stats ctx in
-    (r, s)
-  | Vm_parallel ->
-    let exec = Parallel.Exec.spmd ~lanes:4 in
-    let ctx = Sac.Vm.make_ctx ~exec ~parallel_threshold:4 bc in
-    let r = run_seq (Sac.Vm.run_fun ctx) seq in
-    let s = Sac.Vm.stats ctx in
-    (r, s)
+    (r, Sac.Vm.stats ctx)
 
-let vm_engines = [ Vm; Vm_generic; Vm_lane1; Vm_parallel ]
+let vm_engines = [ Vm; Vm_generic; Vm_lane1; Vm_parallel; Vm_seq; Vm_fork_join ]
 
 let tbl_sorted t =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t [])
@@ -320,7 +346,87 @@ let fold_cases =
        (with { ([0] <= iv < [n]) : g(1.0 * iv[0]); } : fold(max, 0.0)); }",
       [ ("f", [ V (vi 2000) ]) ] ) ]
 
-let all_cases = differential_cases @ fold_cases
+(* Lane-split cases.  The executor engines cut every with-loop past
+   the threshold into lane boxes along its widest dimension, and each
+   box runs the sequential walk; max/min fold boxes combine in lane
+   order, other folds stay sequential. *)
+let split_sum_src =
+  "double f(double[.] v, int n) { return (with { ([0] <= iv < [n]) : \
+   v[iv[0]]; } : fold(+, 0.0)); }"
+
+let split_max_src =
+  "double f(double[.] v, int n) { return (with { ([0] <= iv < [n]) : \
+   v[iv[0]]; } : fold(max, -1.0)); }"
+
+let split_cases =
+  [ ( "split-3xn-fill",
+      (* widest dimension is 1: column boxes holding all three rows *)
+      "double[.,.] f(double[.] a, int n) { return (with { ([0,0] <= iv < \
+       [3,n]) : a[iv[1]] * (1.0 * iv[0] + 0.5) - 1.0 * iv[1]; } : \
+       genarray([3,n], 0.0)); }",
+      [ ("f", [ V (darr (List.init 11 (fun i -> sin (float_of_int i))));
+                V (vi 11) ]) ] );
+    ( "split-nx3-fill",
+      (* widest dimension is 0: row boxes *)
+      "double[.,.] f(double[.] a, int n) { return (with { ([0,0] <= iv < \
+       [n,3]) : a[iv[0]] * (1.0 * iv[1] + 0.5) - 1.0 * iv[0]; } : \
+       genarray([n,3], 0.0)); }",
+      [ ("f", [ V (darr (List.init 11 (fun i -> cos (float_of_int i))));
+                V (vi 11) ]) ] );
+    ( "split-narrow-box",
+      (* widest extent 3 is below the 4-lane team, so 3 boxes; each
+         starts its rank-3 odometer at its own corner, inside a
+         partition that does not start at the origin (the body leaves
+         out iv[2], which would give it a column block) *)
+      "double[.,.,.] f(int n) { return (with { ([0,1,0] <= iv < [2,n,2]) \
+       : 1.0 * (iv[0] * 100 + iv[1] * 10); } : genarray([2,n+1,2], -1.0)); \
+       }",
+      [ ("f", [ V (vi 4) ]) ] );
+    ( "split-clamped-guards",
+      (* index max(min(iv[0] + 1, iv[1] / 2), 0): the column clamp keeps
+         it in range, but the load guard can only use the row bound
+         iv[0] + 1 < 12.  That holds on every box but the one holding
+         the last row (unchecked strips), and that box runs the
+         checked column-outer walk. *)
+      "double[.,.] f(double[.] a, int n, int m) { return (with { ([0,0] \
+       <= iv < [n,m]) : a[max(min(iv[0] + 1, iv[1] / 2), 0)] * 2.0 + 1.0 * \
+       iv[1]; } : genarray([n,m], 0.0)); }",
+      [ ("f", [ V (darr (List.init 12 (fun i -> float_of_int (i * i) /. 3.)));
+                V (vi 12); V (vi 5) ]) ] );
+    ( "split-fold-max-col",
+      (* rank-2 max fold with a column block, cut on its 9 columns: each
+         box memoises its own columns, and the maximum sits in the last
+         column *)
+      "double f(double[.] a, double[.] b, int n) { return (with { ([0,0] \
+       <= iv < [n,9]) : a[iv[0]] * sqrt(fabs(b[iv[1]]) + 1.0) - b[iv[1]] \
+       / 3.0; } : fold(max, -1000.0)); }",
+      [ ( "f",
+          [ V (darr [ 0.3; -1.2; 2.5; 0.0; 1.7 ]);
+            V (darr (List.init 9 (fun j ->
+                  if j = 8 then -30.0 else cos (float_of_int (3 * j)))));
+            V (vi 5) ] ) ] );
+    ( "split-fold-max-nan",
+      split_max_src,
+      [ ( "f",
+          [ V (darr [ 0.0; -0.0; 1.0; 2.0; -3.0; 0.5; Float.nan; -0.0; 4.0;
+                      0.0 ]);
+            V (vi 10) ] ) ] );
+    ( "split-fold-max-signed-zero",
+      (* every element is -0.0 but the last: only the last box turns the
+         maximum into +0.0 *)
+      split_max_src,
+      [ ("f", [ V (darr (List.init 10 (fun i -> if i = 9 then 0.0 else -0.0)));
+                V (vi 10) ]) ] );
+    ( "split-fold-sum-rounding",
+      (* 1e16 absorbs each following 1.0 in a left fold: the sequential
+         sum is 5.0, any cut at the middle gives another value *)
+      split_sum_src,
+      [ ( "f",
+          [ V (darr (List.init 12 (fun i ->
+                  if i = 0 then 1e16 else if i = 6 then -1e16 else 1.0)));
+            V (vi 12) ] ) ] ) ]
+
+let all_cases = differential_cases @ fold_cases @ split_cases
 
 let test_differential () =
   List.iter
@@ -331,7 +437,7 @@ let test_differential () =
         (fun e ->
           let r, s = run_engine e prog bc seq in
           let l = label ^ "/" ^ engine_label e in
-          Alcotest.check value_testable l r0 r;
+          Alcotest.check bits_testable l r0 r;
           check_stats l s0 s)
         vm_engines)
     all_cases
@@ -344,7 +450,7 @@ let test_differential_o0 () =
       let prog, bc, _ = compile ~options:Sac.Pipeline.o0 src in
       let r0, _ = run_engine Interp prog bc seq in
       let r1, _ = run_engine Vm prog bc seq in
-      Alcotest.check value_testable (label ^ "/O0") r0 r1)
+      Alcotest.check bits_testable (label ^ "/O0") r0 r1)
     all_cases
 
 (* Superinstructions are an encoding detail: values AND the observable
@@ -363,8 +469,8 @@ let test_superinstructions_transparent () =
       let r0, s0 = run_engine Interp prog bc_on seq in
       let r_on, s_on = run_engine Vm prog bc_on seq in
       let r_off, s_off = run_engine Vm prog bc_off seq in
-      Alcotest.check value_testable (label ^ "/fused") r0 r_on;
-      Alcotest.check value_testable (label ^ "/unfused") r0 r_off;
+      Alcotest.check bits_testable (label ^ "/fused") r0 r_on;
+      Alcotest.check bits_testable (label ^ "/unfused") r0 r_off;
       check_stats (label ^ "/fused") s0 s_on;
       check_stats (label ^ "/unfused") s0 s_off)
     all_cases
@@ -483,6 +589,34 @@ let test_error_parity_parallel_fold () =
   in
   check_string (label ^ "/parallel") interp vm
 
+(* Errors under the lane split: only the last box reaches the failing
+   element, so every engine must raise the interpreter's error. *)
+let split_error_cases =
+  [ ( "split-oob-last-box",
+      "double[.] f(double[.] v, int n) { return (with { ([0] <= iv < [n]) \
+       : v[iv[0] + 1]; } : genarray([n], 0.0)); }",
+      "f",
+      [ darr (List.init 10 float_of_int); vi 10 ] ) ]
+  @ List.filter (fun (l, _, _, _) -> l = "col-walk-oob") error_cases
+
+let test_error_parity_split () =
+  List.iter
+    (fun (label, src, name, args) ->
+      let prog, bc, _ = compile src in
+      let interp =
+        outcome_of (fun () ->
+            Sac.Eval.run_fun (Sac.Eval.make_ctx prog) name args)
+      in
+      Alcotest.(check bool) (label ^ " errors") true (interp <> "ok");
+      List.iter
+        (fun e ->
+          let vm =
+            outcome_of (fun () -> run_engine e prog bc [ (name, List.map (fun v -> V v) args) ])
+          in
+          check_string (label ^ "/" ^ engine_label e) interp vm)
+        vm_engines)
+    split_error_cases
+
 (* ------------------------------------------------------------------ *)
 (* Runner / backend plumbing                                           *)
 (* ------------------------------------------------------------------ *)
@@ -527,6 +661,8 @@ let () =
           Alcotest.test_case "error parity" `Quick test_error_parity;
           Alcotest.test_case "parallel fold error parity" `Quick
             test_error_parity_parallel_fold;
+          Alcotest.test_case "lane-split error parity" `Quick
+            test_error_parity_split;
           Alcotest.test_case "runner engines" `Quick
             test_runner_engines_agree;
           Alcotest.test_case "runner par-threshold" `Quick
