@@ -13,62 +13,6 @@ let side_name = function
   | South -> "south"
   | North -> "north"
 
-(* Copy cell [src] to cell [dst], optionally negating one momentum
-   component. *)
-let copy_cell (st : State.t) ~src_ix ~src_iy ~dst_ix ~dst_iy ~negate =
-  let s = Grid.offset st.State.grid src_ix src_iy
-  and d = Grid.offset st.State.grid dst_ix dst_iy in
-  for k = 0 to State.nvar - 1 do
-    let v = st.State.q.(k).(s) in
-    st.State.q.(k).(d) <- (if k = negate then -.v else v)
-  done
-
-let set_cell st ~ix ~iy ~rho ~u ~v ~p = State.set_primitive st ix iy ~rho ~u ~v ~p
-
-(* For a ghost cell at layer [gl] (1-based), the mirror interior cell
-   for reflective walls is layer [gl - 1] counted inward, and the
-   nearest interior cell for outflow is layer 0. *)
-let fill_ghost st side ~along ~gl kind =
-  let g = st.State.grid in
-  let nx = g.Grid.nx and ny = g.Grid.ny in
-  let place ~ghost ~mirror ~nearest ~negate =
-    match kind with
-    | Outflow ->
-      let six, siy = nearest in
-      let dix, diy = ghost in
-      copy_cell st ~src_ix:six ~src_iy:siy ~dst_ix:dix ~dst_iy:diy
-        ~negate:(-1)
-    | Reflective ->
-      let six, siy = mirror in
-      let dix, diy = ghost in
-      copy_cell st ~src_ix:six ~src_iy:siy ~dst_ix:dix ~dst_iy:diy ~negate
-    | Inflow { rho; u; v; p } ->
-      let dix, diy = ghost in
-      set_cell st ~ix:dix ~iy:diy ~rho ~u ~v ~p
-    | Segmented _ | Time_dependent _ -> assert false
-  in
-  match side with
-  | West ->
-    place
-      ~ghost:(-gl, along)
-      ~mirror:(gl - 1, along)
-      ~nearest:(0, along) ~negate:State.i_mx
-  | East ->
-    place
-      ~ghost:(nx - 1 + gl, along)
-      ~mirror:(nx - gl, along)
-      ~nearest:(nx - 1, along) ~negate:State.i_mx
-  | South ->
-    place
-      ~ghost:(along, -gl)
-      ~mirror:(along, gl - 1)
-      ~nearest:(along, 0) ~negate:State.i_my
-  | North ->
-    place
-      ~ghost:(along, ny - 1 + gl)
-      ~mirror:(along, ny - gl)
-      ~nearest:(along, ny - 1) ~negate:State.i_my
-
 let segment_kind segments coord =
   let rec find = function
     | [] -> Reflective
@@ -90,41 +34,142 @@ let rec resolve_time ~t ~depth = function
     resolve_time ~t ~depth:(depth + 1) (f t)
   | k -> k
 
-let resolve ~t ~coord kind =
-  match resolve_time ~t ~depth:0 kind with
-  | Segmented segments -> (
-    match resolve_time ~t ~depth:0 (segment_kind segments coord) with
-    | Segmented _ -> invalid_arg "Bc: nested Segmented"
-    | k -> k)
+let resolve_segment ~t segments coord =
+  match resolve_time ~t ~depth:0 (segment_kind segments coord) with
+  | Segmented _ -> invalid_arg "Bc: nested Segmented"
   | k -> k
 
-(* Fill every ghost layer of one side at one along-boundary index.
-   This is the unit of work both the sequential [apply_side] loop and
-   the fused phase bodies share, so fused and unfused runs execute the
-   exact same stores. *)
+let resolve ~t ~coord kind =
+  match resolve_time ~t ~depth:0 kind with
+  | Segmented segments -> resolve_segment ~t segments coord
+  | k -> k
+
+(* A side's kind resolved once per stage: flat, or [Segmented] when it
+   varies along the side (pieces are resolved per cell). *)
+let resolve_side ~t kind = resolve_time ~t ~depth:0 kind
+
+(* Column and row of the cell [depth] layers inward from [side] at
+   [along]: depth 0 is the nearest interior cell, [gl - 1] the mirror a
+   reflective wall copies into ghost layer [gl] (1-based), and [-gl]
+   that ghost cell itself. *)
+let cell_ix g side ~along depth =
+  match side with
+  | West -> depth
+  | East -> g.Grid.nx - 1 - depth
+  | South | North -> along
+
+let cell_iy g side ~along depth =
+  match side with
+  | West | East -> along
+  | South -> depth
+  | North -> g.Grid.ny - 1 - depth
+
+let cell_offset g side ~along depth =
+  Grid.offset g (cell_ix g side ~along depth) (cell_iy g side ~along depth)
+
+let normal_momentum = function
+  | West | East -> State.i_mx
+  | South | North -> State.i_my
+
+(* Copy cell [src] to cell [dst], negating component [negate] (-1 for
+   none). *)
+let copy_cell (st : State.t) ~src ~dst ~negate =
+  for k = 0 to State.nvar - 1 do
+    let v = st.State.q.(k).(src) in
+    st.State.q.(k).(dst) <- (if k = negate then -.v else v)
+  done
+
+(* Ghost layer [gl] of [side] at [along] under the flat [kind]. *)
+let fill_cell st side ~along ~gl kind =
+  let g = st.State.grid in
+  let dst = cell_offset g side ~along (-gl) in
+  match kind with
+  | Outflow ->
+    copy_cell st ~src:(cell_offset g side ~along 0) ~dst ~negate:(-1)
+  | Reflective ->
+    copy_cell st
+      ~src:(cell_offset g side ~along (gl - 1))
+      ~dst ~negate:(normal_momentum side)
+  | Inflow { rho; u; v; p } ->
+    State.set_primitive st
+      (cell_ix g side ~along (-gl))
+      (cell_iy g side ~along (-gl))
+      ~rho ~u ~v ~p
+  | Segmented _ | Time_dependent _ -> assert false
+
+(* Fill every ghost layer of one side at one along-boundary index under
+   the side-resolved [kind]; only a [Segmented] side needs the cell
+   centre.  The per-cell path of [apply_side] and the fused phase
+   bodies share it, so fused and unfused runs execute the same
+   stores. *)
 let fill_along ~t st side kind along =
   let g = st.State.grid in
-  let coord =
-    match side with
-    | West | East -> Grid.yc g along
-    | South | North -> Grid.xc g along
+  let k =
+    match kind with
+    | Segmented segments ->
+      resolve_segment ~t segments
+        (match side with
+        | West | East -> Grid.yc g along
+        | South | North -> Grid.xc g along)
+    | k -> k
   in
-  let k = resolve ~t ~coord kind in
   for gl = 1 to g.Grid.ng do
-    fill_ghost st side ~along ~gl k
+    fill_cell st side ~along ~gl k
   done
 
-let along_range st side =
-  let g = st.State.grid in
-  match side with
-  | West | East -> (-g.Grid.ng, g.Grid.ny + g.Grid.ng - 1)
-  | South | North -> (-g.Grid.ng, g.Grid.nx + g.Grid.ng - 1)
+(* A South or North side under one flat [kind], filled as whole padded
+   rows: each ghost layer is a blit of its source row (ρv negated for
+   a reflective wall), or one inflow cell copied along the row.  Ghost
+   rows lie outside [\[0, ny)] and source rows inside it or beyond the
+   opposite side, so no store feeds a read within the side and layer
+   order stores the same bits as along order. *)
+let fill_rows st side kind =
+  let g = st.State.grid and q = st.State.q in
+  let w = g.Grid.row_stride and ng = g.Grid.ng in
+  let row depth = Grid.offset g (-ng) (cell_iy g side ~along:0 depth) in
+  for gl = 1 to ng do
+    let dst = row (-gl) in
+    match kind with
+    | Outflow ->
+      let src = row 0 in
+      for k = 0 to State.nvar - 1 do
+        Array.blit q.(k) src q.(k) dst w
+      done
+    | Reflective ->
+      let src = row (gl - 1) in
+      for k = 0 to State.nvar - 1 do
+        let a = q.(k) in
+        if k = State.i_my then
+          for j = 0 to w - 1 do
+            a.(dst + j) <- -.a.(src + j)
+          done
+        else Array.blit a src a dst w
+      done
+    | Inflow { rho; u; v; p } ->
+      State.set_primitive st (-ng) (cell_iy g side ~along:0 (-gl)) ~rho ~u
+        ~v ~p;
+      for k = 0 to State.nvar - 1 do
+        let a = q.(k) in
+        let x = a.(dst) in
+        for j = dst + 1 to dst + w - 1 do
+          a.(j) <- x
+        done
+      done
+    | Segmented _ | Time_dependent _ -> assert false
+  done
 
 let apply_side ~t st side kind =
-  let lo, hi = along_range st side in
-  for along = lo to hi do
-    fill_along ~t st side kind along
-  done
+  match (side, resolve_side ~t kind) with
+  | (South | North), ((Outflow | Reflective | Inflow _) as k) ->
+    fill_rows st side k
+  | _, k ->
+    let g = st.State.grid in
+    let n =
+      match side with West | East -> g.Grid.ny | South | North -> g.Grid.nx
+    in
+    for along = -g.Grid.ng to n + g.Grid.ng - 1 do
+      fill_along ~t st side k along
+    done
 
 let kind_of sides side =
   match List.assoc_opt side sides with Some k -> k | None -> Outflow
@@ -159,21 +204,21 @@ let fill_south_north ~t st sides ~south ~north =
      corner ghosts West/East just wrote — they must run after a
      barrier, exactly matching [apply]'s sequential W, E, S, N order.
 
-   Hence two phases: {West ∥ East} then {South ∥ North}.  Each
-   along-index is filled by exactly one body call, so the stores are
-   identical to the sequential order no matter how lanes chunk the
-   range.  Grids too narrow for the independence argument (e.g. 1D
-   problems with [ny = 1 < ng]) fall back to one single-iteration
-   phase running the sequential [apply]. *)
+   Hence two phases: {West ∥ East} then {South ∥ North}, one body call
+   per along-index on the per-cell path, so the stores are identical
+   to the sequential order no matter how lanes chunk the range.  Grids
+   too narrow for the independence argument (e.g. 1D problems with
+   [ny = 1 < ng], whose 1D reflective north wall mirrors the south
+   ghost rows) fall back to one single-iteration phase running
+   [apply], which fills South and North as whole rows. *)
 let phases ~t st sides =
   let g = st.State.grid in
   let ng = g.Grid.ng and nx = g.Grid.nx and ny = g.Grid.ny in
   if nx >= ng && ny >= ng then begin
     let vspan = ny + (2 * ng) and hspan = nx + (2 * ng) in
-    let kw = kind_of sides West
-    and ke = kind_of sides East
-    and ks = kind_of sides South
-    and kn = kind_of sides North in
+    let side s = resolve_side ~t (kind_of sides s) in
+    let kw = side West and ke = side East
+    and ks = side South and kn = side North in
     [ { Parallel.Exec.region = Parallel.Exec.Bc;
         lo = 0;
         hi = 2 * vspan;

@@ -43,9 +43,21 @@ val resolve : t:float -> coord:float -> kind -> kind
     @raise Invalid_argument on nested [Segmented] or non-terminating
     [Time_dependent] nesting. *)
 
+val resolve_side : t:float -> kind -> kind
+(** [kind] with its [Time_dependent] closures evaluated at [t]: a flat
+    kind, or a [Segmented] side whose pieces {!resolve} picks per
+    cell.  A side's kind is resolved once per fill with this.
+    @raise Invalid_argument on non-terminating [Time_dependent]
+    nesting. *)
+
 val apply_side : t:float -> State.t -> side -> kind -> unit
 (** Fill the ghost layers of one side, resolving time-dependent
-    conditions at simulation time [t].
+    conditions at simulation time [t] once for the side.  A South or
+    North side whose kind resolves flat ([Outflow], [Reflective],
+    [Inflow]) is filled as whole padded rows, copied from its source
+    rows without allocating; West/East sides and [Segmented] sides go
+    cell by cell along the side, resolving the piece at each cell
+    centre.  Both paths store the same bits.
     @raise Invalid_argument on nested [Segmented]. *)
 
 val apply : t:float -> State.t -> (side * kind) list -> unit
@@ -73,9 +85,11 @@ val phases :
     {West ∥ East} in one phase, then {South ∥ North} (which read the
     corner ghosts the first phase wrote) after the barrier — the same
     stores as {!apply} in a compatible order, so results are bitwise
-    identical under any scheduler.  Grids too narrow for the two sides
-    of a phase to be independent ([nx < ng] or [ny < ng], e.g. 1D
-    problems) yield a single-iteration phase running the sequential
-    fill. *)
+    identical under any scheduler.  Both phases go cell by cell, one
+    body call per along-index.  Grids too narrow for the two sides of
+    a phase to be independent ([nx < ng] or [ny < ng], e.g. 1D
+    problems, whose reflective north wall mirrors the south ghost
+    rows) yield a single-iteration phase running {!apply}, which fills
+    South and North as whole rows. *)
 
 val side_name : side -> string

@@ -341,85 +341,82 @@ let save_q0 t exec =
             s.q0.(k).(o) <- s.qc.(k).(o)
           done))
 
-(* SUBROUTINE ApplyBC: ghost fill, same order and semantics as
-   Euler.Bc (west/east over the full padded height, then south/north
-   over the full padded width).  [tbc] is the simulation time the
-   ghost state should hold — the stage time under RK2/RK3. *)
-let apply_bc t ~tbc =
-  let s = t.storage in
+(* Offset of the cell [depth] layers inward from [side] at [along]:
+   depth 0 is the nearest interior cell, [gl - 1] the mirror a
+   reflective wall copies into ghost layer [gl], [-gl] that ghost. *)
+let bc_offset g side along depth =
+  match side with
+  | Euler.Bc.West -> Euler.Grid.offset g depth along
+  | Euler.Bc.East -> Euler.Grid.offset g (g.Euler.Grid.nx - 1 - depth) along
+  | Euler.Bc.South -> Euler.Grid.offset g along depth
+  | Euler.Bc.North -> Euler.Grid.offset g along (g.Euler.Grid.ny - 1 - depth)
+
+let bc_copy s ~src ~dst ~negate =
+  for k = 0 to 3 do
+    let v = s.qc.(k).(src) in
+    s.qc.(k).(dst) <- (if k = negate then -.v else v)
+  done
+
+let bc_inflow s ~dst ~rho ~u ~v ~p =
+  s.qc.(0).(dst) <- rho;
+  s.qc.(1).(dst) <- rho *. u;
+  s.qc.(2).(dst) <- rho *. v;
+  s.qc.(3).(dst) <-
+    (p /. (s.gam -. 1.)) +. (0.5 *. rho *. ((u *. u) +. (v *. v)))
+
+(* DO along / DO gl over one side.  Segment lookup and time-dependent
+   evaluation are Euler.Bc's resolution, shared verbatim so the two
+   implementations can never disagree on which condition governs a
+   boundary cell; the cell centre is computed only for a [Segmented]
+   side. *)
+let bc_fill s ~tbc side kind =
   let g = s.grid in
   let ng = g.Euler.Grid.ng in
-  let nx = g.Euler.Grid.nx and ny = g.Euler.Grid.ny in
-  let copy_from ~src ~dst ~negate =
-    for k = 0 to 3 do
-      let v = s.qc.(k).(src) in
-      s.qc.(k).(dst) <- (if k = negate then -.v else v)
-    done
+  let hi, negate =
+    match side with
+    | Euler.Bc.West | Euler.Bc.East -> (g.Euler.Grid.ny + ng - 1, 1)
+    | Euler.Bc.South | Euler.Bc.North -> (g.Euler.Grid.nx + ng - 1, 2)
   in
-  let set_inflow ~dst ~rho ~u ~v ~p =
-    s.qc.(0).(dst) <- rho;
-    s.qc.(1).(dst) <- rho *. u;
-    s.qc.(2).(dst) <- rho *. v;
-    s.qc.(3).(dst) <-
-      (p /. (s.gam -. 1.)) +. (0.5 *. rho *. ((u *. u) +. (v *. v)))
-  in
-  (* Segment lookup and time-dependent evaluation are Euler.Bc's
-     resolution, shared verbatim so the two implementations can never
-     disagree on which condition governs a boundary cell. *)
-  let resolve kind coord = Euler.Bc.resolve ~t:tbc ~coord kind in
-  let kind_of side =
-    match List.assoc_opt side t.bcs with
-    | Some k -> k
-    | None -> Euler.Bc.Outflow
-  in
-  let fill side =
-    let lo, hi, coord_of =
-      match side with
-      | Euler.Bc.West | Euler.Bc.East ->
-        (-ng, ny + ng - 1, fun along -> Euler.Grid.yc g along)
-      | Euler.Bc.South | Euler.Bc.North ->
-        (-ng, nx + ng - 1, fun along -> Euler.Grid.xc g along)
-    in
-    for along = lo to hi do
-      let k = resolve (kind_of side) (coord_of along) in
-      for gl = 1 to ng do
-        let ghost, mirror, nearest, negate =
+  let kind = Euler.Bc.resolve_side ~t:tbc kind in
+  for along = -ng to hi do
+    let k =
+      match kind with
+      | Euler.Bc.Segmented _ ->
+        let coord =
           match side with
-          | Euler.Bc.West ->
-            ( Euler.Grid.offset g (-gl) along,
-              Euler.Grid.offset g (gl - 1) along,
-              Euler.Grid.offset g 0 along,
-              1 )
-          | Euler.Bc.East ->
-            ( Euler.Grid.offset g (nx - 1 + gl) along,
-              Euler.Grid.offset g (nx - gl) along,
-              Euler.Grid.offset g (nx - 1) along,
-              1 )
-          | Euler.Bc.South ->
-            ( Euler.Grid.offset g along (-gl),
-              Euler.Grid.offset g along (gl - 1),
-              Euler.Grid.offset g along 0,
-              2 )
-          | Euler.Bc.North ->
-            ( Euler.Grid.offset g along (ny - 1 + gl),
-              Euler.Grid.offset g along (ny - gl),
-              Euler.Grid.offset g along (ny - 1),
-              2 )
+          | Euler.Bc.West | Euler.Bc.East -> Euler.Grid.yc g along
+          | Euler.Bc.South | Euler.Bc.North -> Euler.Grid.xc g along
         in
-        match k with
-        | Euler.Bc.Outflow -> copy_from ~src:nearest ~dst:ghost ~negate:(-1)
-        | Euler.Bc.Reflective -> copy_from ~src:mirror ~dst:ghost ~negate
-        | Euler.Bc.Inflow { rho; u; v; p } ->
-          set_inflow ~dst:ghost ~rho ~u ~v ~p
-        | Euler.Bc.Segmented _ | Euler.Bc.Time_dependent _ ->
-          invalid_arg "F_solver: unresolved boundary kind"
-      done
+        Euler.Bc.resolve ~t:tbc ~coord kind
+      | k -> k
+    in
+    for gl = 1 to ng do
+      let ghost = bc_offset g side along (-gl) in
+      match k with
+      | Euler.Bc.Outflow ->
+        bc_copy s ~src:(bc_offset g side along 0) ~dst:ghost ~negate:(-1)
+      | Euler.Bc.Reflective ->
+        bc_copy s ~src:(bc_offset g side along (gl - 1)) ~dst:ghost ~negate
+      | Euler.Bc.Inflow { rho; u; v; p } -> bc_inflow s ~dst:ghost ~rho ~u ~v ~p
+      | Euler.Bc.Segmented _ | Euler.Bc.Time_dependent _ ->
+        invalid_arg "F_solver: unresolved boundary kind"
     done
-  in
-  fill Euler.Bc.West;
-  fill Euler.Bc.East;
-  fill Euler.Bc.South;
-  fill Euler.Bc.North
+  done
+
+let bc_kind t side =
+  match List.assoc_opt side t.bcs with Some k -> k | None -> Euler.Bc.Outflow
+
+(* SUBROUTINE ApplyBC: ghost fill, same order and semantics as
+   Euler.Bc (west/east over the full padded height, then south/north
+   over the full padded width), cell by cell as the Fortran loops do.
+   [tbc] is the simulation time the ghost state should hold — the
+   stage time under RK2/RK3. *)
+let apply_bc t ~tbc =
+  let s = t.storage in
+  bc_fill s ~tbc Euler.Bc.West (bc_kind t Euler.Bc.West);
+  bc_fill s ~tbc Euler.Bc.East (bc_kind t Euler.Bc.East);
+  bc_fill s ~tbc Euler.Bc.South (bc_kind t Euler.Bc.South);
+  bc_fill s ~tbc Euler.Bc.North (bc_kind t Euler.Bc.North)
 
 (* Ghost fill + primitive decode for the current [qc] (the fill is
    charged to the Bc timing bucket); a no-op when already current, so

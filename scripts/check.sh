@@ -15,7 +15,8 @@
 # failed-job isolation, kill -9 crash recovery) and the BENCH_fleet
 # artefact with its 2x batching-speedup floor.  The mini-SaC driver
 # gets a sacc smoke running the README's dfDxNoBoundary line, and the
-# fork/join scheduler a CLI smoke pinning it to the sequential march.
+# fork/join scheduler a CLI smoke pinning it to the sequential march;
+# a 1D Sod smoke pins the ghost-row fill across schedulers and tiles.
 # scripts/loc.sh prints the per-library line count (informational).
 set -eu
 cd "$(dirname "$0")/.."
@@ -32,6 +33,10 @@ sh scripts/ckpt_smoke.sh
 # Fork/join end to end: the hot team must reproduce the sequential
 # march bit for bit.
 sh scripts/forkjoin_smoke.sh
+
+# 1D ghost rows end to end: every scheduler, the unfused dispatch and
+# 1x2 tiles must write byte-identical Sod checkpoints.
+sh scripts/sod1d_smoke.sh
 
 # The committed golden store must match what the backends compute now.
 dune exec bin/golden.exe -- check --root test/golden

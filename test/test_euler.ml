@@ -1184,6 +1184,228 @@ let qcheck_cases =
       prop_rh_ratios_monotone ]
 
 (* ------------------------------------------------------------------ *)
+(* Ghost fill pins                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The ghost fill as specified cell by cell: sides W, E, S, N; along
+   each side one resolve per along index at the cell centre, then
+   every ghost layer of that index. *)
+let per_cell_ghost_fill ~t st sides =
+  let open Euler.Bc in
+  let g = st.Euler.State.grid and q = st.Euler.State.q in
+  let ng = g.Euler.Grid.ng and nx = g.Euler.Grid.nx and ny = g.Euler.Grid.ny in
+  let fill side =
+    let kind = Option.value (List.assoc_opt side sides) ~default:Outflow in
+    let hi = match side with West | East -> ny + ng - 1 | _ -> nx + ng - 1 in
+    for along = -ng to hi do
+      let coord =
+        match side with
+        | West | East -> Euler.Grid.yc g along
+        | South | North -> Euler.Grid.xc g along
+      in
+      let k = resolve ~t ~coord kind in
+      for gl = 1 to ng do
+        let (gx, gy), mirror, nearest, normal =
+          match side with
+          | West ->
+            ((-gl, along), (gl - 1, along), (0, along), Euler.State.i_mx)
+          | East ->
+            ((nx - 1 + gl, along), (nx - gl, along), (nx - 1, along),
+             Euler.State.i_mx)
+          | South ->
+            ((along, -gl), (along, gl - 1), (along, 0), Euler.State.i_my)
+          | North ->
+            ((along, ny - 1 + gl), (along, ny - gl), (along, ny - 1),
+             Euler.State.i_my)
+        in
+        let copy (sx, sy) negate =
+          let s = Euler.Grid.offset g sx sy and d = Euler.Grid.offset g gx gy in
+          for v = 0 to Euler.State.nvar - 1 do
+            let x = q.(v).(s) in
+            q.(v).(d) <- (if v = negate then -.x else x)
+          done
+        in
+        match k with
+        | Outflow -> copy nearest (-1)
+        | Reflective -> copy mirror normal
+        | Inflow { rho; u; v; p } ->
+          Euler.State.set_primitive st gx gy ~rho ~u ~v ~p
+        | Segmented _ | Time_dependent _ -> Alcotest.fail "unresolved kind"
+      done
+    done
+  in
+  List.iter fill [ West; East; South; North ]
+
+let rec kind_to_string = function
+  | Euler.Bc.Outflow -> "outflow"
+  | Euler.Bc.Reflective -> "reflective"
+  | Euler.Bc.Inflow { rho; u; v; p } ->
+    Printf.sprintf "inflow(%g,%g,%g,%g)" rho u v p
+  | Euler.Bc.Segmented pieces ->
+    "segmented["
+    ^ String.concat "; "
+        (List.map
+           (fun (a, b, k) -> Printf.sprintf "[%g,%g) %s" a b (kind_to_string k))
+           pieces)
+    ^ "]"
+  | Euler.Bc.Time_dependent f ->
+    Printf.sprintf "time(t=0: %s, t=2: %s)" (kind_to_string (f 0.))
+      (kind_to_string (f 2.))
+
+let flat_kind_gen =
+  QCheck2.Gen.(
+    oneof
+      [ return Euler.Bc.Outflow;
+        return Euler.Bc.Reflective;
+        map
+          (fun (rho, u, v, p) -> Euler.Bc.Inflow { rho; u; v; p })
+          state_gen ])
+
+(* A clocked switch between two kinds at a random time in [0, 2]. *)
+let switch_gen gen =
+  QCheck2.Gen.(
+    map3
+      (fun ts a b -> Euler.Bc.Time_dependent (fun t -> if t < ts then a else b))
+      (float_range 0. 2.) gen gen)
+
+(* Pieces over [lo, hi] (a little beyond the side, so some pieces cover
+   ghost centres and some stretches fall to the Reflective default),
+   each flat or time-dependent. *)
+let segmented_gen ~lo ~hi =
+  QCheck2.Gen.(
+    let edge = float_range (lo -. 0.5) (hi +. 0.5) in
+    let piece =
+      map3
+        (fun a b k -> (Float.min a b, Float.max a b, k))
+        edge edge
+        (oneof [ flat_kind_gen; switch_gen flat_kind_gen ])
+    in
+    map
+      (fun pieces -> Euler.Bc.Segmented pieces)
+      (list_size (int_range 0 3) piece))
+
+let side_kind_gen ~lo ~hi =
+  QCheck2.Gen.(
+    let seg = segmented_gen ~lo ~hi in
+    oneof
+      [ flat_kind_gen;
+        seg;
+        switch_gen flat_kind_gen;
+        switch_gen seg ])
+
+type ghost_case = {
+  grid : Euler.Grid.t;
+  sides : (Euler.Bc.side * Euler.Bc.kind) list;
+  time : float;
+  seed : int;
+}
+
+(* 1D (ny = 1), narrow (nx < ng or ny < ng, sometimes both) or 2D
+   grids, with random kinds on every side and random bits in every
+   padded cell. *)
+let ghost_case_gen =
+  QCheck2.Gen.(
+    let* shape = int_range 0 2 in
+    let* ng = int_range 1 3 in
+    let* nx, ny =
+      match shape with
+      | 0 -> map (fun nx -> (nx, 1)) (int_range 1 12)
+      | 1 ->
+        map3
+          (fun a b swap -> if swap then (b, a) else (a, b))
+          (int_range 1 (max 1 (ng - 1)))
+          (int_range 1 8) bool
+      | _ -> pair (int_range ng 9) (int_range ng 9)
+    in
+    let* x0 = float_range (-1.) 1. and* y0 = float_range (-1.) 1. in
+    let* lx = float_range 0.5 3. and* ly = float_range 0.5 3. in
+    let grid = Euler.Grid.make ~ng ~x0 ~y0 ~nx ~ny ~lx ~ly () in
+    let x_side = side_kind_gen ~lo:x0 ~hi:(x0 +. lx)
+    and y_side = side_kind_gen ~lo:y0 ~hi:(y0 +. ly) in
+    let* kw = y_side and* ke = y_side and* ks = x_side and* kn = x_side in
+    let* time = float_range 0. 2. and* seed = int in
+    return
+      { grid;
+        sides =
+          [ (Euler.Bc.West, kw); (Euler.Bc.East, ke); (Euler.Bc.South, ks);
+            (Euler.Bc.North, kn) ];
+        time;
+        seed })
+
+let ghost_case_print c =
+  let g = c.grid in
+  Printf.sprintf "nx=%d ny=%d ng=%d t=%g seed=%d\n%s" g.Euler.Grid.nx
+    g.Euler.Grid.ny g.Euler.Grid.ng c.time c.seed
+    (String.concat "\n"
+       (List.map
+          (fun (s, k) -> Euler.Bc.side_name s ^ ": " ^ kind_to_string k)
+          c.sides))
+
+let same_bits (a : Euler.State.t) (b : Euler.State.t) =
+  Array.for_all2
+    (Array.for_all2 (fun x y ->
+         Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)))
+    a.Euler.State.q b.Euler.State.q
+
+let prop_ghost_fill_bitwise =
+  let spmd = Parallel.Exec.spmd ~lanes:2 in
+  QCheck2.Test.make ~name:"ghost fill bitwise equals per-cell fill" ~count:300
+    ~print:ghost_case_print ghost_case_gen (fun c ->
+      let init = Euler.State.create ~gamma c.grid in
+      let rng = Random.State.make [| c.seed |] in
+      Array.iter
+        (fun a ->
+          Array.iteri (fun i _ -> a.(i) <- Random.State.float rng 6. -. 3.) a)
+        init.Euler.State.q;
+      let filled fill =
+        let st = Euler.State.copy init in
+        fill st;
+        st
+      in
+      let t = c.time in
+      let expected = filled (fun st -> per_cell_ghost_fill ~t st c.sides) in
+      let phases exec st =
+        Parallel.Exec.parallel_phases exec
+          (Array.of_list (Euler.Bc.phases ~t st c.sides))
+      in
+      List.for_all
+        (fun (name, fill) ->
+          same_bits expected (filled fill)
+          || QCheck2.Test.fail_reportf "%s differs from the per-cell fill" name)
+        [ ("Bc.apply", fun st -> Euler.Bc.apply ~t st c.sides);
+          ("Bc.phases (sequential)", phases (Parallel.Exec.sequential ()));
+          ("Bc.phases (spmd 2)", phases spmd) ])
+
+let ghost_fill_cases =
+  [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2009 |])
+      prop_ghost_fill_bitwise ]
+
+(* The reference backend's 1D step allocates a fixed handful of minor
+   words whatever its length: the ghost fill copies whole rows and
+   boxes no per-column coordinate.  Counted on a sequential exec, where
+   the count is deterministic. *)
+let test_reference_1d_step_words () =
+  let words_per_step nx =
+    let prob = Euler.Setup.sod ~nx () in
+    let s =
+      Euler.Solver.create ~exec:(Parallel.Exec.sequential ())
+        ~config:Euler.Solver.benchmark_config ~bcs:prob.Euler.Setup.bcs
+        prob.Euler.Setup.state
+    in
+    Euler.Solver.run_steps s 2;
+    let steps = 10 in
+    let w0 = Gc.minor_words () in
+    Euler.Solver.run_steps s steps;
+    (Gc.minor_words () -. w0) /. float_of_int steps
+  in
+  let w200 = words_per_step 200 and w4000 = words_per_step 4000 in
+  let msg =
+    Printf.sprintf "%.0f words/step at nx 200, %.0f at nx 4000" w200 w4000
+  in
+  check_bool ("flat in nx: " ^ msg) true (Float.abs (w4000 -. w200) <= 64.);
+  check_bool ("at most 2k: " ^ msg) true (w4000 <= 2048.)
+
+(* ------------------------------------------------------------------ *)
 (* Allocation-free hot path: bitwise pins against the boxed APIs       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1837,8 +2059,10 @@ let () =
           Alcotest.test_case "segmented" `Quick test_bc_segmented;
           Alcotest.test_case "nested rejected" `Quick
             test_bc_nested_segmented_rejected;
-          Alcotest.test_case "time-dependent" `Quick test_bc_time_dependent ]
-      );
+          Alcotest.test_case "time-dependent" `Quick test_bc_time_dependent;
+          Alcotest.test_case "reference 1d step words flat in nx" `Quick
+            test_reference_1d_step_words ]
+        @ ghost_fill_cases );
       ( "time-step",
         [ Alcotest.test_case "uniform EV" `Quick test_dt_uniform;
           Alcotest.test_case "1d ignores y" `Quick test_dt_1d_ignores_y;
