@@ -61,7 +61,7 @@ let of_state ~gamma ~rho ~un ~ut ~p = build ~gamma ~rho ~un ~ut ~p
    bitwise-equality tests in test_euler pin the two code paths
    together. *)
 
-let build_into ~gamma ~rho ~un ~ut ~p ~l ~r =
+let[@inline] build_into ~gamma ~rho ~un ~ut ~p ~l ~r =
   if not (rho > 0. && p > 0.) then
     invalid_arg "Characteristic: non-physical state";
   let c = Float.sqrt (gamma *. p /. rho) in

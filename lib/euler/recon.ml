@@ -165,7 +165,7 @@ let left_right_window kind w =
    bitwise-equality test in test_euler pins this path to
    [left_right_window]. *)
 
-let limit lim a b =
+let[@inline] limit lim a b =
   match lim with
   | Limiter.Minmod ->
     if a *. b <= 0. then 0.
@@ -186,7 +186,7 @@ let limit lim a b =
     else if x < 0. && y < 0. && z < 0. then Float.max x (Float.max y z)
     else 0.
 
-let minmod3 a b c =
+let[@inline] minmod3 a b c =
   if a > 0. && b > 0. && c > 0. then Float.min a (Float.min b c)
   else if a < 0. && b < 0. && c < 0. then Float.max a (Float.max b c)
   else 0.

@@ -136,7 +136,7 @@ let hllc ~gamma ~rho_l ~un_l ~ut_l ~p_l ~rho_r ~un_r ~ut_r ~p_r ~f =
 
 (* Harten's entropy fix: smooth |lambda| near zero to keep expansion
    shocks out of transonic rarefactions. *)
-let entropy_fixed_abs lambda eps =
+let[@inline] entropy_fixed_abs lambda eps =
   let a = Float.abs lambda in
   if a >= eps || eps <= 0. then a
   else (((lambda *. lambda) /. eps) +. eps) /. 2.
@@ -291,7 +291,7 @@ let rusanov_pr ~gamma pr f =
    inlining [roe_un_c].  Both speeds share the Roe average, so the
    caller gets them from two calls that recompute it — still far
    cheaper than one boxed-tuple return per interface. *)
-let hll_speed_pr ~gamma pr which =
+let[@inline] hll_speed_pr ~gamma pr which =
   let rho_l = pr.(0) and un_l = pr.(1) and ut_l = pr.(2) and p_l = pr.(3)
   and rho_r = pr.(4) and un_r = pr.(5) and ut_r = pr.(6) and p_r = pr.(7) in
   let wl = Float.sqrt rho_l and wr = Float.sqrt rho_r in

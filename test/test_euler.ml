@@ -1381,16 +1381,18 @@ let ghost_fill_cases =
       prop_ghost_fill_bitwise ]
 
 (* The reference backend's 1D step allocates a fixed handful of minor
-   words whatever its length: the ghost fill copies whole rows and
-   boxes no per-column coordinate.  Counted on a sequential exec, where
-   the count is deterministic. *)
-let test_reference_1d_step_words () =
+   words whatever its length and whatever its scheme: the ghost fill
+   copies whole rows, boxes no per-column coordinate, and the per-cell
+   reconstruction and flux helpers return unboxed floats.  Counted on a
+   sequential exec, where the count is deterministic.  The exact
+   Riemann solver is iterative and allocates per interface, so it is
+   left out. *)
+let test_reference_1d_step_words config =
   let words_per_step nx =
     let prob = Euler.Setup.sod ~nx () in
     let s =
-      Euler.Solver.create ~exec:(Parallel.Exec.sequential ())
-        ~config:Euler.Solver.benchmark_config ~bcs:prob.Euler.Setup.bcs
-        prob.Euler.Setup.state
+      Euler.Solver.create ~exec:(Parallel.Exec.sequential ()) ~config
+        ~bcs:prob.Euler.Setup.bcs prob.Euler.Setup.state
     in
     Euler.Solver.run_steps s 2;
     let steps = 10 in
@@ -1400,10 +1402,24 @@ let test_reference_1d_step_words () =
   in
   let w200 = words_per_step 200 and w4000 = words_per_step 4000 in
   let msg =
-    Printf.sprintf "%.0f words/step at nx 200, %.0f at nx 4000" w200 w4000
+    Printf.sprintf "%s+%s: %.0f words/step at nx 200, %.0f at nx 4000"
+      (Euler.Recon.name config.Euler.Solver.recon)
+      (Euler.Riemann.name config.Euler.Solver.riemann)
+      w200 w4000
   in
   check_bool ("flat in nx: " ^ msg) true (Float.abs (w4000 -. w200) <= 64.);
   check_bool ("at most 2k: " ^ msg) true (w4000 <= 2048.)
+
+let test_reference_1d_step_words_all_schemes () =
+  List.iter
+    (fun recon_name ->
+      let recon = Option.get (Euler.Recon.of_string recon_name) in
+      List.iter
+        (fun riemann ->
+          test_reference_1d_step_words
+            { Euler.Solver.benchmark_config with Euler.Solver.recon; riemann })
+        Euler.Riemann.[ Rusanov; Hll; Hllc; Roe ])
+    Euler.Recon.all_names
 
 (* ------------------------------------------------------------------ *)
 (* Allocation-free hot path: bitwise pins against the boxed APIs       *)
@@ -2061,7 +2077,7 @@ let () =
             test_bc_nested_segmented_rejected;
           Alcotest.test_case "time-dependent" `Quick test_bc_time_dependent;
           Alcotest.test_case "reference 1d step words flat in nx" `Quick
-            test_reference_1d_step_words ]
+            test_reference_1d_step_words_all_schemes ]
         @ ghost_fill_cases );
       ( "time-step",
         [ Alcotest.test_case "uniform EV" `Quick test_dt_uniform;
