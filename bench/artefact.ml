@@ -279,15 +279,13 @@ let table =
         p "set rows.monotone == [true]";
         p "min rows.#samples >= 2";
         p "min rows[kind=self].observed_order - min_order >= 0" ] );
-    ( "fleet-v1",
+    ( "fleet-v2",
       [ p ("speedup_floor == " ^ float_text fleet_speedup_floor);
         p ("speedup >= " ^ float_text fleet_speedup_floor);
         p "failed == 0";
         p "jobs - completed == 0";
         p "preemptions > 0";
         p "resumes > 0";
-        p "small_jobs > 0";
-        p "large_jobs > 0";
         p "#rows >= 20";
         p "#rows - jobs == 0";
         p {|set rows.status == ["done"]|};

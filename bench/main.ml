@@ -1188,10 +1188,9 @@ let rec rm_rf p =
   | false -> Sys.remove p
   | exception Sys_error _ -> ()
 
-(* A >= 20-job mixed batch: eighteen 1D tubes across three submitters
+(* A >= 20-job mix: eighteen 1D tubes across three submitters
    and three priorities, two sacprog tubes, two WENO3+HLLC override
-   tubes, and two 2D quadrant fields (one tiled 2x2) that run in the
-   large-job path. *)
+   tubes, and two 2D quadrant fields (one tiled 2x2). *)
 let fleet_jobs () =
   let small_steps = if !quick then 12 else 60 in
   let small_nx = if !quick then 32 else 64 in
@@ -1233,22 +1232,18 @@ let fleet_jobs () =
   (tubes @ sacs @ wenos @ quads, small_steps)
 
 let fleet_exp () =
-  header "Fleet -- multi-run job engine (fair-share batching + preemption)";
+  header "Fleet -- multi-run job engine (fair share + preemption)";
   ensure_out ();
   let lanes = max 2 (max_lanes ()) in
   let jobs, small_steps = fleet_jobs () in
-  (* Tubes batch; the quadrant fields exceed the threshold and run the
-     large-job path, alone on the shared exec. *)
-  let small_cells = 128 in
   let slice = max 1 (small_steps * 2 / 3) in
   let ckpt_root = path "fleet_ckpt" in
   rm_rf ckpt_root;
-  (* Fleet: jobs packed onto the shared lanes, one dispatch per slice
-     of a whole batch, preempting and resuming through checkpoints. *)
+  (* Fleet: jobs take turns on the shared lanes slice by slice,
+     preempting and resuming through checkpoints. *)
   let fleet_exec = Parallel.Exec.spmd ~lanes in
   let cfg =
-    Fleet.Scheduler.config ~exec:fleet_exec ~slice_steps:slice ~small_cells
-      ~batch_max:16 ~ckpt_root ()
+    Fleet.Scheduler.config ~exec:fleet_exec ~slice_steps:slice ~ckpt_root ()
   in
   let q = Fleet.Queue.create () in
   List.iter (Fleet.Queue.submit q) jobs;
@@ -1288,12 +1283,7 @@ let fleet_exp () =
     if serial_agg > 0. then tel.Fleet.Telemetry.agg_cells_per_s /. serial_agg
     else 0.
   in
-  let small_jobs, large_jobs =
-    List.partition (fun j -> Fleet.Job.est_cells j <= small_cells) jobs
-  in
-  Printf.printf
-    "%d jobs (%d small batched, %d large) on %d lanes, slice %d steps\n"
-    (List.length jobs) (List.length small_jobs) (List.length large_jobs)
+  Printf.printf "%d jobs on %d lanes, slice %d steps\n" (List.length jobs)
     lanes slice;
   let status (o : Fleet.Scheduler.outcome) =
     match o.Fleet.Scheduler.status with
@@ -1333,12 +1323,10 @@ let fleet_exp () =
   write_artefact "BENCH_fleet.json"
     Fleet.Telemetry.(
       Obj
-        [ ("schema", String "fleet-v1"); ("quick", Bool !quick);
+        [ ("schema", String "fleet-v2"); ("quick", Bool !quick);
           ("lanes", Int lanes); ("slice_steps", Int slice);
-          ("small_cells", Int small_cells); ("batch_max", Int 16);
-          ("jobs", Int tel.jobs); ("small_jobs", Int (List.length small_jobs));
-          ("large_jobs", Int (List.length large_jobs));
-          ("completed", Int tel.completed); ("failed", Int tel.failed);
+          ("jobs", Int tel.jobs); ("completed", Int tel.completed);
+          ("failed", Int tel.failed);
           ("preemptions", Int tel.preemptions); ("resumes", Int tel.resumes);
           ( "fleet",
             Obj

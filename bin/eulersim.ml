@@ -269,10 +269,9 @@ let run problem nx ms recon riemann rk cfl unfused tiles steps t_end backend
    | None -> ())
 
 (* eulersim serve: the fleet front-end.  Jobs arrive as files in
-   INBOX/inbox, results leave as files in INBOX/done; scheduling,
-   batching and preemption live in Fleet.Scheduler. *)
-let serve inbox_dir scheduler lanes slice small_cells batch_max retain poll_s
-    drain quiet =
+   INBOX/inbox, results leave as files in INBOX/done; scheduling and
+   preemption live in Fleet.Scheduler. *)
+let serve inbox_dir scheduler lanes slice retain poll_s drain quiet =
   let exec =
     match scheduler with
     | `Seq -> Parallel.Exec.sequential ()
@@ -286,17 +285,16 @@ let serve inbox_dir scheduler lanes slice small_cells batch_max retain poll_s
   let inbox = Fleet.Inbox.make inbox_dir in
   let sched =
     try
-      Fleet.Scheduler.config ~exec ~slice_steps:slice ~small_cells ~batch_max
-        ~retain
+      Fleet.Scheduler.config ~exec ~slice_steps:slice ~retain
         ~ckpt_root:(Fleet.Inbox.ckpt_root inbox)
         ()
     with Invalid_argument msg -> fail msg
   in
   let log = if quiet then fun _ -> () else print_endline in
-  Printf.printf "serving %s: %s, slice %d steps, batch <= %d, %s\n%!"
+  Printf.printf "serving %s: %s, slice %d steps, %s\n%!"
     inbox_dir
     (Parallel.Exec.describe exec)
-    slice batch_max
+    slice
     (if drain then "drain mode (exit when empty)"
      else Printf.sprintf "polling every %g s" poll_s);
   let t =
@@ -327,15 +325,6 @@ let serve_cmd =
                    checkpoints and requeues at each slice boundary, so \
                    this is both the preemption grain and the crash-loss \
                    bound")
-  and small_cells =
-    Arg.(value & opt int 4096
-         & info [ "small-cells" ] ~docv:"CELLS"
-             ~doc:"jobs at most this many interior cells are batched \
-                   many-per-dispatch; larger ones run alone on all lanes")
-  and batch_max =
-    Arg.(value & opt int 16
-         & info [ "batch-max" ] ~docv:"N"
-             ~doc:"max small jobs advanced in one shared dispatch")
   and retain =
     Arg.(value & opt int 2
          & info [ "retain" ] ~docv:"K"
@@ -360,8 +349,8 @@ let serve_cmd =
           atomic rename, schedule them fair-share across lanes with \
           checkpoint preemption, write result files")
     Term.(
-      const serve $ inbox_dir $ scheduler $ lanes $ slice $ small_cells
-      $ batch_max $ retain $ poll_s $ drain $ quiet)
+      const serve $ inbox_dir $ scheduler $ lanes $ slice $ retain $ poll_s
+      $ drain $ quiet)
 
 let run_term =
   let problem =

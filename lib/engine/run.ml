@@ -72,10 +72,11 @@ let maybe_checkpoint autosave stats inst =
 let fresh_stats () =
   { count = 0; wall = 0.; bytes = 0; payload = 0; last_save_t = now () }
 
-let finish inst stats ~t0 ~m0 ~p0 =
+let finish inst stats ~t0 ~(w0 : Parallel.Exec.gc_words) =
   let wall_s = now () -. t0 in
-  let m1, p1, _ = Gc.counters () in
-  Backend.metrics ~wall_s ~minor_words:(m1 -. m0) ~promoted_words:(p1 -. p0)
+  let w1 = Parallel.Exec.gc_words () in
+  Backend.metrics ~wall_s ~minor_words:(w1.minor -. w0.minor)
+    ~promoted_words:(w1.promoted -. w0.promoted)
     ~checkpoints:stats.count ~checkpoint_s:stats.wall
     ~checkpoint_bytes:stats.bytes ~checkpoint_payload_bytes:stats.payload
     inst
@@ -90,7 +91,7 @@ let should_yield yield =
 
 let run_steps ?on_step ?autosave ?yield inst n =
   let stats = fresh_stats () in
-  let m0, p0, _ = Gc.counters () in
+  let w0 = Parallel.Exec.gc_words () in
   let t0 = now () in
   let taken = ref 0 in
   let stop = ref false in
@@ -101,11 +102,11 @@ let run_steps ?on_step ?autosave ?yield inst n =
     maybe_checkpoint autosave stats inst;
     if should_yield yield then stop := true
   done;
-  finish inst stats ~t0 ~m0 ~p0
+  finish inst stats ~t0 ~w0
 
 let run_until ?on_step ?autosave ?yield inst target =
   let stats = fresh_stats () in
-  let m0, p0, _ = Gc.counters () in
+  let w0 = Parallel.Exec.gc_words () in
   let t0 = now () in
   let stop = ref false in
   while (not !stop) && Backend.time inst < target -. 1e-14 do
@@ -116,7 +117,7 @@ let run_until ?on_step ?autosave ?yield inst target =
     maybe_checkpoint autosave stats inst;
     if should_yield yield then stop := true
   done;
-  finish inst stats ~t0 ~m0 ~p0
+  finish inst stats ~t0 ~w0
 
 let emit ?profile_csv ?field_csv ?pgm inst =
   let st = Backend.state inst in

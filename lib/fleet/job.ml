@@ -64,15 +64,6 @@ let config t =
     cfl = Option.value t.cfl ~default:c.Euler.Solver.cfl;
     tiles = t.tiles }
 
-let est_cells t =
-  match Engine.Scenario.find t.scenario with
-  | None -> max_int
-  | Some s ->
-    let nx = Option.value t.nx ~default:s.Engine.Scenario.default_nx in
-    (match s.Engine.Scenario.dims with
-     | Engine.Scenario.D1 -> nx
-     | Engine.Scenario.D2 -> nx * nx)
-
 let float_str v = Printf.sprintf "%.17g" v
 
 let to_kv t =

@@ -69,12 +69,6 @@ val config : t -> Euler.Solver.config
 (** The scenario's benchmark config with the job's overrides (and
     tiles) applied. *)
 
-val est_cells : t -> int
-(** Estimated interior cell count, the scheduler's small-vs-large
-    classifier and the fair-share charge unit.  [max_int] when the
-    scenario is unknown (such a job runs "large", alone, and fails
-    cleanly at materialisation). *)
-
 val to_kv : t -> (string * string) list
 (** Descriptor as kv pairs (the id is {e not} included — the file
     name carries it). *)

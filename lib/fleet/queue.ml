@@ -53,14 +53,12 @@ let better (a : entry) (b : entry) =
   a.job.Job.priority > b.job.Job.priority
   || (a.job.Job.priority = b.job.Job.priority && a.rank < b.rank)
 
-let best_entry eligible entries =
+let best_entry entries =
   List.fold_left
     (fun acc e ->
-      if not (eligible e.job) then acc
-      else
-        match acc with
-        | None -> Some e
-        | Some cur -> if better e cur then Some e else acc)
+      match acc with
+      | None -> Some e
+      | Some cur -> if better e cur then Some e else acc)
     None entries
 
 (* Submitter names sorted so the scan never depends on hash order. *)
@@ -68,11 +66,11 @@ let submitters t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.pending []
   |> List.sort compare
 
-let take ?(eligible = fun _ -> true) t =
+let take t =
   let pick =
     List.fold_left
       (fun acc name ->
-        match best_entry eligible !(bucket t name) with
+        match best_entry !(bucket t name) with
         | None -> acc
         | Some e -> (
           let svc = service t name in

@@ -25,10 +25,9 @@ val submit : t -> Job.t -> unit
     @raise Invalid_argument if a job with this id is already
     pending. *)
 
-val take : ?eligible:(Job.t -> bool) -> t -> Job.t option
-(** Remove and return the next job under fair-share order, skipping
-    jobs for which [eligible] (default: all) is false.  [None] when
-    nothing is eligible. *)
+val take : t -> Job.t option
+(** Remove and return the next job under fair-share order; [None]
+    when the queue is empty. *)
 
 val charge : t -> submitter:string -> float -> unit
 (** Add [units] of service (the scheduler charges

@@ -1,22 +1,16 @@
 type config = {
   exec : Parallel.Exec.t;
   slice_steps : int;
-  small_cells : int;
-  batch_max : int;
   ckpt_root : string;
   retain : int;
 }
 
 let config ?(exec = Parallel.Exec.sequential ()) ?(slice_steps = 50)
-    ?(small_cells = 4096) ?(batch_max = 16) ?(retain = 2) ~ckpt_root () =
+    ?(retain = 2) ~ckpt_root () =
   if slice_steps < 1 then
     invalid_arg "Fleet.Scheduler.config: slice_steps must be >= 1";
-  if small_cells < 0 then
-    invalid_arg "Fleet.Scheduler.config: small_cells must be >= 0";
-  if batch_max < 1 then
-    invalid_arg "Fleet.Scheduler.config: batch_max must be >= 1";
   if retain < 1 then invalid_arg "Fleet.Scheduler.config: retain must be >= 1";
-  { exec; slice_steps; small_cells; batch_max; ckpt_root; retain }
+  { exec; slice_steps; ckpt_root; retain }
 
 let ckpt_dir cfg (job : Job.t) = Filename.concat cfg.ckpt_root job.Job.id
 
@@ -89,16 +83,17 @@ let describe_exn = function
 (* Rebuild the job's instance: the newest intact checkpoint under its
    directory if one exists (the preemption / crash-recovery path),
    else fresh from the descriptor. *)
-let materialize cfg ~exec (job : Job.t) =
+let materialize cfg (job : Job.t) =
   let prob = Job.problem job in
   let dir = ckpt_dir cfg job in
   match
-    Engine.Registry.resume_latest ~exec ~tiles:job.Job.tiles ~dir prob
+    Engine.Registry.resume_latest ~exec:cfg.exec ~tiles:job.Job.tiles ~dir
+      prob
   with
   | Some (path, inst) -> (inst, `Resumed path)
   | None ->
-    ( Engine.Registry.create ~exec ~config:(Job.config job) job.Job.backend
-        prob,
+    ( Engine.Registry.create ~exec:cfg.exec ~config:(Job.config job)
+        job.Job.backend prob,
       `Fresh )
 
 let finished (job : Job.t) inst =
@@ -191,76 +186,28 @@ let drain ?(on_event = fun (_ : event) -> ()) ?(before_round = fun () -> ())
         Queue.submit q job
       end
   in
-  let materialize_tracked ~exec job =
-    match materialize cfg ~exec job with
-    | inst, how ->
+  (* One slice of one job on the shared exec: materialise (fresh or
+     from its newest checkpoint), march, settle.  A failure at any
+     point becomes this job's [Failed] outcome and nothing else's. *)
+  let run job =
+    match materialize cfg job with
+    | exception e -> fail job (describe_exn e)
+    | inst, how -> (
       (match how with
        | `Resumed _ -> (stats job).resumes <- (stats job).resumes + 1
        | `Fresh -> ());
       on_event (Dispatched (job, how));
-      Some inst
-    | exception e ->
-      fail job (describe_exn e);
-      None
-  in
-  (* A batch of small jobs: private sequential execs, one shared
-     dispatch over job indices for the whole slice.  Exceptions are
-     captured per slot — a diverging tube must not take the dispatch
-     (or its batch-mates) down with it. *)
-  let run_batch batch =
-    let lives =
-      List.filter_map
-        (fun job ->
-          let exec = Parallel.Exec.sequential () in
-          Option.map
-            (fun inst -> (job, inst, Engine.Backend.steps inst))
-            (materialize_tracked ~exec job))
-        batch
-    in
-    let arr = Array.of_list lives in
-    let n = Array.length arr in
-    if n > 0 then begin
-      let results = Array.make n (Error "slice did not run") in
-      Parallel.Exec.parallel_for cfg.exec ~lo:0 ~hi:n (fun i ->
-          let job, inst, _ = arr.(i) in
-          results.(i) <-
-            (match run_slice cfg job inst with
-             | m -> Ok m
-             | exception e -> Error (describe_exn e)));
-      Array.iteri
-        (fun i (job, inst, steps_before) ->
-          match results.(i) with
-          | Ok m -> settle job inst ~steps_before m
-          | Error msg -> fail ~inst job msg)
-        arr
-    end
-  in
-  let run_large job =
-    match materialize_tracked ~exec:cfg.exec job with
-    | None -> ()
-    | Some inst -> (
       let steps_before = Engine.Backend.steps inst in
       match run_slice cfg job inst with
       | m -> settle job inst ~steps_before m
       | exception e -> fail ~inst job (describe_exn e))
   in
-  let small (job : Job.t) = Job.est_cells job <= cfg.small_cells in
   let rec loop () =
     before_round ();
     match Queue.take q with
     | None -> ()
     | Some job ->
-      (if small job then begin
-         let batch = ref [ job ] in
-         let filling = ref true in
-         while !filling && List.length !batch < cfg.batch_max do
-           match Queue.take ~eligible:small q with
-           | Some j -> batch := j :: !batch
-           | None -> filling := false
-         done;
-         run_batch (List.rev !batch)
-       end
-       else run_large job);
+      run job;
       loop ()
   in
   loop ();

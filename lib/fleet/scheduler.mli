@@ -1,16 +1,12 @@
-(** The fleet scheduler: fair-share rounds, small-job batching, and
-    checkpoint-based preemption over {!Parallel.Exec} lanes.
+(** The fleet scheduler: fair-share rounds and checkpoint-based
+    preemption over one shared {!Parallel.Exec}.
 
-    One {!drain} round takes the fair-share head from the queue and
-    classifies it by estimated cell count.  A {e small} job (a 1D
-    tube) pulls up to [batch_max - 1] further small jobs from the
-    queue and the whole batch advances one slice inside a single
-    shared [parallel_for] dispatch over job indices — each job steps
-    on its own private sequential exec, so many tubes saturate the
-    lanes with one barrier per slice instead of one per region.  A
-    {e large} job (a 2D field) runs its slice alone directly on the
-    shared exec, tiled per its descriptor, using every lane for one
-    solve.
+    One {!drain} round takes the fair-share head from the queue,
+    materialises it on the config's exec (tiled per its descriptor)
+    and runs one slice of it, so every job — 1D tube or 2D field —
+    uses every lane for its own solve, the parallelism the paper
+    measures.  Jobs take turns slice by slice; they never run side
+    by side.
 
     Preemption is unconditional: at the end of every slice each
     unfinished job writes a checkpoint (retained per the config) and
@@ -24,15 +20,13 @@
     preemption.
 
     Exceptions inside a job (unknown scenario, solver blow-up,
-    descriptor/checkpoint mismatch) are caught per job slot and
-    reported as [Failed] outcomes; they never poison the shared
-    dispatch or the server. *)
+    descriptor/checkpoint mismatch) are caught per job and reported
+    as [Failed] outcomes; they never reach the other jobs or the
+    server. *)
 
 type config = private {
   exec : Parallel.Exec.t;  (** the shared lane budget *)
   slice_steps : int;  (** steps per scheduling slice (>= 1) *)
-  small_cells : int;  (** jobs with [est_cells <= small_cells] batch *)
-  batch_max : int;  (** max small jobs per shared dispatch *)
   ckpt_root : string;  (** per-job checkpoint dirs live under here *)
   retain : int;  (** checkpoints kept per job *)
 }
@@ -40,14 +34,11 @@ type config = private {
 val config :
   ?exec:Parallel.Exec.t ->
   ?slice_steps:int ->
-  ?small_cells:int ->
-  ?batch_max:int ->
   ?retain:int ->
   ckpt_root:string ->
   unit ->
   config
-(** Defaults: sequential exec, slice 50, small_cells 4096,
-    batch_max 16, retain 2.
+(** Defaults: sequential exec, slice 50, retain 2.
     @raise Invalid_argument on non-positive parameters. *)
 
 val ckpt_dir : config -> Job.t -> string

@@ -128,29 +128,37 @@ let get_dt_raw t exec =
   in
   s.cfl /. ev_max
 
-(* Rusanov flux between the cells at offsets [ol] and [or_]; matches
-   Riemann.rusanov so the implementations can be compared cell by
-   cell. *)
-let face_flux s ~ol ~or_ ~unl ~unr ~utl ~utr k_mn k_mt =
+(* Rusanov flux between the cells at offsets [ol] and [or_], stored
+   into [f] at [ol]; matches Riemann.rusanov so the implementations
+   can be compared cell by cell.  [i_un]/[i_ut] pick the normal and
+   tangential velocities out of QP and [k_mn]/[k_mt] are the momenta
+   they map back onto.  Written straight into [f] with the average
+   expanded by hand, so a face allocates nothing. *)
+let face_flux s f ~ol ~or_ ~i_un ~i_ut k_mn k_mt =
   let rl = s.qp.(i_rc).(ol)
   and rr = s.qp.(i_rc).(or_)
   and pl = s.qp.(i_pc).(ol)
-  and pr = s.qp.(i_pc).(or_) in
+  and pr = s.qp.(i_pc).(or_)
+  and unl = s.qp.(i_un).(ol)
+  and unr = s.qp.(i_un).(or_)
+  and utl = s.qp.(i_ut).(ol)
+  and utr = s.qp.(i_ut).(or_) in
   let cl = Float.sqrt (s.gam *. pl /. rl)
   and cr = Float.sqrt (s.gam *. pr /. rr) in
   let smax = Float.max (Float.abs unl +. cl) (Float.abs unr +. cr) in
+  let hs = 0.5 *. smax in
   let el = s.qc.(3).(ol) and er = s.qc.(3).(or_) in
   let ml = rl *. unl and mr = rr *. unr in
-  let avg fl fr du = (0.5 *. (fl +. fr)) -. (0.5 *. smax *. du) in
-  let f0 = avg ml mr (rr -. rl) in
-  let f1 =
-    avg ((ml *. unl) +. pl) ((mr *. unr) +. pr)
-      ((rr *. unr) -. (rl *. unl))
-  in
-  let f2 = avg (ml *. utl) (mr *. utr) ((rr *. utr) -. (rl *. utl)) in
-  let f3 = avg (unl *. (el +. pl)) (unr *. (er +. pr)) (er -. el) in
-  (* Map the rotated-frame components back onto (rho, mx, my, E). *)
-  (f0, (k_mn, f1), (k_mt, f2), f3)
+  f.(0).(ol) <- (0.5 *. (ml +. mr)) -. (hs *. (rr -. rl));
+  f.(k_mn).(ol) <-
+    (0.5 *. (((ml *. unl) +. pl) +. ((mr *. unr) +. pr)))
+    -. (hs *. ((rr *. unr) -. (rl *. unl)));
+  f.(k_mt).(ol) <-
+    (0.5 *. ((ml *. utl) +. (mr *. utr)))
+    -. (hs *. ((rr *. utr) -. (rl *. utl)));
+  f.(3).(ol) <-
+    (0.5 *. ((unl *. (el +. pl)) +. (unr *. (er +. pr))))
+    -. (hs *. (er -. el))
 
 (* High-order face flux: characteristic projection of the stencil,
    monotone reconstruction, approximate Riemann solve — the same
@@ -230,6 +238,14 @@ let face_flux_highorder t ~offset_of ~k_n =
     ~p_l:pl ~rho_r:rr ~un_r:ur ~ut_r:tr ~p_r:pr ~f;
   (f.(0), (k_n, f.(1)), (k_t, f.(2)), f.(3))
 
+(* Store a high-order face flux into [f] at [ol], mapping the
+   rotated-frame components back onto (rho, mx, my, E). *)
+let store f ol (f0, (k1, f1), (k2, f2), f3) =
+  f.(0).(ol) <- f0;
+  f.(k1).(ol) <- f1;
+  f.(k2).(ol) <- f2;
+  f.(3).(ol) <- f3
+
 (* SUBROUTINE FluxX: fluxes through x-faces; face (ix+1/2, iy) is
    stored at the offset of cell ix. *)
 let flux_x t exec =
@@ -243,23 +259,15 @@ let flux_x t exec =
       row ~region:Parallel.Exec.Rhs t exec ~ix_min:(-1)
         ~ix_max:(g.Euler.Grid.nx - 1) (fun ix ->
           let ol = Euler.Grid.offset g ix iy in
-          let f0, (k1, f1), (k2, f2), f3 =
-            if pc then begin
-              let or_ = Euler.Grid.offset g (ix + 1) iy in
-              face_flux s ~ol ~or_ ~unl:s.qp.(i_ux).(ol)
-                ~unr:s.qp.(i_ux).(or_) ~utl:s.qp.(i_uy).(ol)
-                ~utr:s.qp.(i_uy).(or_) 1 2
-            end
-            else
-              face_flux_highorder t
-                ~offset_of:(fun s' ->
-                  Euler.Grid.offset g (ix - half + 1 + s') iy)
-                ~k_n:1
-          in
-          s.fx.(0).(ol) <- f0;
-          s.fx.(k1).(ol) <- f1;
-          s.fx.(k2).(ol) <- f2;
-          s.fx.(3).(ol) <- f3))
+          if pc then
+            face_flux s s.fx ~ol ~or_:(Euler.Grid.offset g (ix + 1) iy)
+              ~i_un:i_ux ~i_ut:i_uy 1 2
+          else
+            store s.fx ol
+              (face_flux_highorder t
+                 ~offset_of:(fun s' ->
+                   Euler.Grid.offset g (ix - half + 1 + s') iy)
+                 ~k_n:1)))
 
 (* SUBROUTINE FluxY: face (ix, iy+1/2) stored at the offset of cell
    iy. *)
@@ -274,23 +282,15 @@ let flux_y t exec =
       row ~region:Parallel.Exec.Rhs t exec ~ix_min:0
         ~ix_max:(g.Euler.Grid.nx - 1) (fun ix ->
           let ol = Euler.Grid.offset g ix iy in
-          let f0, (k1, f1), (k2, f2), f3 =
-            if pc then begin
-              let or_ = Euler.Grid.offset g ix (iy + 1) in
-              face_flux s ~ol ~or_ ~unl:s.qp.(i_uy).(ol)
-                ~unr:s.qp.(i_uy).(or_) ~utl:s.qp.(i_ux).(ol)
-                ~utr:s.qp.(i_ux).(or_) 2 1
-            end
-            else
-              face_flux_highorder t
-                ~offset_of:(fun s' ->
-                  Euler.Grid.offset g ix (iy - half + 1 + s'))
-                ~k_n:2
-          in
-          s.fy.(0).(ol) <- f0;
-          s.fy.(k1).(ol) <- f1;
-          s.fy.(k2).(ol) <- f2;
-          s.fy.(3).(ol) <- f3))
+          if pc then
+            face_flux s s.fy ~ol ~or_:(Euler.Grid.offset g ix (iy + 1))
+              ~i_un:i_uy ~i_ut:i_ux 2 1
+          else
+            store s.fy ol
+              (face_flux_highorder t
+                 ~offset_of:(fun s' ->
+                   Euler.Grid.offset g ix (iy - half + 1 + s'))
+                 ~k_n:2)))
 
 (* SUBROUTINE FluxDiv: DQ = -(FX(i) - FX(i-1))/DX - (FY(j) - FY(j-1))/DY *)
 let flux_div t exec =

@@ -96,18 +96,35 @@ let record t region ns minor promoted =
   s.b_minor_words <- s.b_minor_words +. minor;
   s.b_promoted_words <- s.b_promoted_words +. promoted
 
-(* Charges the wall time since [t0] and the GC words since [m0]/[p0]
-   to [region]. *)
-let charge t region t0 m0 p0 =
+type gc_words = { mutable minor : float; mutable promoted : float }
+
+(* OCaml 5.1's [Gc.counters] boxes its words without rooting them: a
+   minor GC while it boxes one frees those boxed before, so its tuple
+   can point into reused minor-heap memory and abort a later minor GC
+   that finds it alive.  The record is allocated first and the
+   promoted count copied into it before anything else allocates.  Its
+   minor count is also off (a region allocating 600 words read 76, or
+   ~229k when a minor GC fell inside it), so that one comes from
+   [Gc.minor_words]. *)
+let gc_words () =
+  let w = { minor = 0.; promoted = 0. } in
+  let _, p, _ = Gc.counters () in
+  w.promoted <- p;
+  w.minor <- Gc.minor_words ();
+  w
+
+(* Charges the wall time since [t0] and the GC words since [w0] to
+   [region]. *)
+let charge t region t0 w0 =
   let ns = Clock.now_ns () -. t0 in
-  let m1, p1, _ = Gc.counters () in
-  record t region ns (m1 -. m0) (p1 -. p0)
+  let w1 = gc_words () in
+  record t region ns (w1.minor -. w0.minor) (w1.promoted -. w0.promoted)
 
 let timed t region f =
-  let m0, p0, _ = Gc.counters () in
+  let w0 = gc_words () in
   let t0 = Clock.now_ns () in
   let r = f () in
-  charge t region t0 m0 p0;
+  charge t region t0 w0;
   r
 
 (* One team region running [body ~lane i] for every [i] in
@@ -140,7 +157,7 @@ let team_for ?(schedule = Chunk.Static) ~lanes ~lo ~hi body =
 let parallel_for_lanes ?schedule ?(region = Other) t ~lo ~hi body =
   if hi > lo then begin
     Atomic.incr t.count;
-    let m0, p0, _ = Gc.counters () in
+    let w0 = gc_words () in
     let t0 = Clock.now_ns () in
     (match t.kind with
      | Sequential ->
@@ -148,7 +165,7 @@ let parallel_for_lanes ?schedule ?(region = Other) t ~lo ~hi body =
          body ~lane:0 i
        done
      | Spmd | Fork_join -> team_for ?schedule ~lanes:t.lanes ~lo ~hi body);
-    charge t region t0 m0 p0
+    charge t region t0 w0
   end
 
 let parallel_for ?schedule ?region t ~lo ~hi body =
@@ -186,19 +203,17 @@ let parallel_phases t phases =
          (work + barrier wait) to that phase's region. *)
       Atomic.incr t.count;
       let lanes = t.lanes in
-      let m0, p0, _ = Gc.counters () in
-      let last_t = ref (Clock.now_ns ())
-      and last_m = ref m0
-      and last_p = ref p0 in
+      let last_w = ref (gc_words ()) in
+      let last_t = ref (Clock.now_ns ()) in
       Team.run_phases ~parts:lanes ~phases:n
         ~on_phase:(fun k ->
           let now = Clock.now_ns () in
-          let m1, p1, _ = Gc.counters () in
-          record t phases.(k).region (now -. !last_t) (m1 -. !last_m)
-            (p1 -. !last_p);
+          let w = gc_words () in
+          record t phases.(k).region (now -. !last_t)
+            (w.minor -. !last_w.minor)
+            (w.promoted -. !last_w.promoted);
           last_t := now;
-          last_m := m1;
-          last_p := p1)
+          last_w := w)
         (fun ~phase ~lane -> phase_chunk phases.(phase) ~lanes ~lane)
     | Fork_join ->
       (* The OpenMP model cannot fold barriers: each phase pays its
@@ -214,7 +229,7 @@ let parallel_reduce_lanes ?schedule ?(region = Reduce) t ~lo ~hi ~init
   if hi <= lo then init
   else begin
     Atomic.incr t.count;
-    let m0, p0, _ = Gc.counters () in
+    let w0 = gc_words () in
     let t0 = Clock.now_ns () in
     let acc = t.partials in
     for l = 0 to t.lanes - 1 do
@@ -232,7 +247,7 @@ let parallel_reduce_lanes ?schedule ?(region = Reduce) t ~lo ~hi ~init
     for l = 1 to t.lanes - 1 do
       result := combine !result acc.(l * lane_pad)
     done;
-    charge t region t0 m0 p0;
+    charge t region t0 w0;
     !result
   end
 

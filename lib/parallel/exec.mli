@@ -152,6 +152,13 @@ val parallel_reduce_max :
     chunk locally; partial results are combined after the barrier.
     Charged to the [Reduce] bucket by default. *)
 
+type gc_words = { mutable minor : float; mutable promoted : float }
+
+val gc_words : unit -> gc_words
+(** This domain's minor and promoted words so far.  Use it, not
+    [Gc.counters], whose tuple can dangle into the minor heap and
+    whose minor count is wrong under OCaml 5.1. *)
+
 val timed : t -> region -> (unit -> 'a) -> 'a
 (** [timed t region f] runs [f] inline, charging its wall time to
     [region]'s bucket.  Unlike {!parallel_for} this does {e not}

@@ -87,8 +87,7 @@ for n in 1 2 3 4; do
   submit "$box" "long-$n" \
     "fleetjob 1" "submitter alice" "scenario sod" "nx 8192" "steps 400"
 done
-# nx 8192 > the small-job threshold, so the jobs run serially, one slice
-# at a time.  Kill only once at least one job has finished AND another
+# The jobs run one slice at a time on the shared exec.  Kill only once at least one job has finished AND another
 # is mid-flight with a checkpoint on disk — that guarantees the restart
 # has something to resume rather than redo.
 ready_to_kill() {

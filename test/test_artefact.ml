@@ -166,8 +166,8 @@ let convergence =
 
 let fleet =
   Obj
-    [ ("schema", String "fleet-v1"); ("quick", Bool true); ("jobs", Int 20);
-      ("small_jobs", Int 18); ("large_jobs", Int 2); ("completed", Int 20);
+    [ ("schema", String "fleet-v2"); ("quick", Bool true); ("jobs", Int 20);
+      ("completed", Int 20);
       ("failed", Int 0); ("preemptions", Int 3); ("resumes", Int 3);
       ( "fleet",
         Obj
@@ -286,8 +286,6 @@ let mutations =
         ("jobs - completed", set "completed" (Int 19));
         ("preemptions", set "preemptions" (Int 0));
         ("resumes", set "resumes" (Int 0));
-        ("small_jobs", set "small_jobs" (Int 0));
-        ("large_jobs", set "large_jobs" (Int 0));
         ( "#rows",
           fun v ->
             rows "rows" List.tl v |> set "jobs" (Int 19)

@@ -1,6 +1,7 @@
 (* Tests for the fleet job engine: descriptor round trips, fair-share
    queue ordering under mixed priorities, the bitwise
-   preempt-requeue-resume pin across all three schedulers, failed-job
+   preempt-requeue-resume pin for interleaved jobs on one shared exec
+   across all three schedulers, failed-job
    isolation, inbox exactly-once semantics, and crash-recovery of the
    serve loop (a crash mid-fleet is simulated by raising out of the
    event hook, which loses all in-memory state exactly like a kill -9;
@@ -36,10 +37,10 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let job ?(submitter = "anon") ?(priority = 0) ?nx ?recon ?riemann ?tiles
-    ?(scenario = "sod") id target =
-  Fleet.Job.make ~submitter ~priority ?nx ?recon ?riemann ?tiles ~id ~scenario
-    target
+let job ?(submitter = "anon") ?(priority = 0) ?backend ?nx ?recon ?riemann
+    ?tiles ?(scenario = "sod") id target =
+  Fleet.Job.make ~submitter ~priority ?backend ?nx ?recon ?riemann ?tiles ~id
+    ~scenario target
 
 (* ------------------------------------------------------------------ *)
 (* Job descriptors                                                     *)
@@ -95,10 +96,12 @@ let test_job_rejects () =
   check_bool "bad id" true
     (try ignore (job "no/slashes" (Fleet.Job.Steps 1)); false
      with Fleet.Job.Invalid _ -> true);
-  (* An unknown scenario parses (it fails at materialisation, as a
-     per-job Failed outcome) but classifies as large. *)
-  let j = job ~scenario:"not-a-scenario" "weird" (Fleet.Job.Steps 1) in
-  check_int "unknown scenario is large" max_int (Fleet.Job.est_cells j)
+  (* An unknown scenario parses: it fails at materialisation, as a
+     per-job Failed outcome. *)
+  check_bool "unknown scenario parses" true
+    (try ignore (job ~scenario:"not-a-scenario" "weird" (Fleet.Job.Steps 1));
+       true
+     with Fleet.Job.Invalid _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Fair-share queue                                                    *)
@@ -152,83 +155,86 @@ let test_queue_requeue_rank () =
   Alcotest.(check (list string)) "introspection order" [ "d2"; "d3" ]
     (List.map (fun (j : Fleet.Job.t) -> j.Fleet.Job.id) (Fleet.Queue.jobs q))
 
-let test_queue_eligible () =
-  let q = Fleet.Queue.create () in
-  List.iter (Fleet.Queue.submit q)
-    [ job ~nx:100 "big" (Fleet.Job.Steps 1);
-      job ~nx:10 "small" (Fleet.Job.Steps 1) ];
-  (match
-     Fleet.Queue.take q ~eligible:(fun j -> Fleet.Job.est_cells j <= 32)
-   with
-   | Some j -> check_string "predicate filters" "small" j.Fleet.Job.id
-   | None -> Alcotest.fail "expected the small job");
-  check_int "big still pending" 1 (Fleet.Queue.pending q)
-
 (* ------------------------------------------------------------------ *)
 (* Scheduler: the bitwise preemption pin                               *)
 (* ------------------------------------------------------------------ *)
 
-(* A preempted job's final snapshot must be byte-for-byte the
-   uninterrupted run's, under every scheduler, through both the
-   batched-small and the large-job paths. *)
-let bitwise_preemption ~make_exec ~small_cells () =
-  let steps = 40 in
-  let the_job = job ~nx:48 "pin" (Fleet.Job.Steps steps) in
-  (* Uninterrupted: one sequential march of the same descriptor. *)
-  let expected =
+(* Three jobs of different sizes and backends from two submitters
+   share one exec, slice by slice: fair share runs alice's tubes
+   (sacprog first, by priority) on both sides of bob's quadrant
+   slices.  Every job's final snapshot must be byte-for-byte its
+   uninterrupted sequential run's, under every scheduler. *)
+let bitwise_preemption make_exec () =
+  let jobs =
+    [ job ~submitter:"alice" ~nx:48 "ref-tube" (Fleet.Job.Steps 40);
+      job ~submitter:"alice" ~priority:1 ~backend:"sacprog" ~nx:32 "sac-tube"
+        (Fleet.Job.Steps 40);
+      job ~submitter:"bob" ~scenario:"quadrant" ~nx:16 ~tiles:(2, 2) "quad"
+        (Fleet.Job.Steps 20) ]
+  in
+  let expected (j : Fleet.Job.t) =
+    let steps =
+      match j.Fleet.Job.target with
+      | Fleet.Job.Steps n -> n
+      | Fleet.Job.Until _ -> assert false
+    in
     let inst =
       Engine.Registry.create
         ~exec:(Parallel.Exec.sequential ())
-        ~config:(Fleet.Job.config the_job)
-        the_job.Fleet.Job.backend
-        (Fleet.Job.problem the_job)
+        ~config:(Fleet.Job.config j) j.Fleet.Job.backend
+        (Fleet.Job.problem j)
     in
     ignore (Engine.Run.run_steps inst steps);
     Persist.Snapshot.encode (Engine.Backend.snapshot inst)
   in
   with_tmpdir (fun dir ->
-      let exec = make_exec () in
       let cfg =
-        Fleet.Scheduler.config ~exec ~slice_steps:7 ~small_cells
+        Fleet.Scheduler.config ~exec:(make_exec ()) ~slice_steps:7
           ~ckpt_root:dir ()
       in
       let q = Fleet.Queue.create () in
-      Fleet.Queue.submit q the_job;
-      let outcomes = Fleet.Scheduler.drain cfg q in
-      match outcomes with
-      | [ o ] ->
-        check_bool "done" true (o.Fleet.Scheduler.status = Fleet.Scheduler.Done);
-        check_int "ran to target" steps o.Fleet.Scheduler.steps;
-        check_bool "was preempted" true (o.Fleet.Scheduler.preemptions >= 5);
-        check_int "resumed as often as preempted"
-          o.Fleet.Scheduler.preemptions o.Fleet.Scheduler.resumes;
-        (match o.Fleet.Scheduler.final_ckpt with
-         | Some path ->
-           check_bool "final snapshot bitwise-identical" true
-             (read_file path = expected)
-         | None -> Alcotest.fail "expected a final checkpoint")
-      | os -> Alcotest.fail (Printf.sprintf "expected 1 outcome, got %d"
-                               (List.length os)))
-
-let test_bitwise_seq_batched =
-  bitwise_preemption ~make_exec:Parallel.Exec.sequential ~small_cells:4096
-
-let test_bitwise_spmd_batched =
-  bitwise_preemption
-    ~make_exec:(fun () -> Parallel.Exec.spmd ~lanes:2)
-    ~small_cells:4096
-
-let test_bitwise_forkjoin_batched =
-  bitwise_preemption
-    ~make_exec:(fun () -> Parallel.Exec.fork_join ~lanes:2)
-    ~small_cells:4096
-
-(* small_cells 0 forces the large-job path: the instance materialises
-   directly on the shared exec. *)
-let test_bitwise_spmd_large =
-  bitwise_preemption
-    ~make_exec:(fun () -> Parallel.Exec.spmd ~lanes:2)
-    ~small_cells:0
+      List.iter (Fleet.Queue.submit q) jobs;
+      let dispatched = ref [] in
+      let on_event = function
+        | Fleet.Scheduler.Dispatched (j, _) ->
+          dispatched := j.Fleet.Job.id :: !dispatched
+        | _ -> ()
+      in
+      let outcomes = Fleet.Scheduler.drain ~on_event cfg q in
+      let dispatched = Array.of_list (List.rev !dispatched) in
+      check_int "every job reported" 3 (List.length outcomes);
+      List.iter
+        (fun (j : Fleet.Job.t) ->
+          let id = j.Fleet.Job.id in
+          (* Another job's slice runs between this job's first and
+             last slice. *)
+          let slots =
+            List.filter
+              (fun i -> dispatched.(i) = id)
+              (List.init (Array.length dispatched) Fun.id)
+          in
+          let first = List.hd slots and last = List.hd (List.rev slots) in
+          check_bool (id ^ " interleaves") true
+            (List.exists
+               (fun i -> dispatched.(i) <> id)
+               (List.init (last - first) (fun k -> first + k)));
+          let o =
+            List.find
+              (fun (o : Fleet.Scheduler.outcome) -> o.Fleet.Scheduler.job = j)
+              outcomes
+          in
+          check_bool (id ^ " done") true
+            (o.Fleet.Scheduler.status = Fleet.Scheduler.Done);
+          check_bool (id ^ " was preempted") true
+            (o.Fleet.Scheduler.preemptions >= 2);
+          check_int (id ^ " resumed as often as preempted")
+            o.Fleet.Scheduler.preemptions o.Fleet.Scheduler.resumes;
+          match o.Fleet.Scheduler.final_ckpt with
+          | Some path ->
+            check_bool (id ^ " final snapshot bitwise-identical") true
+              (read_file path = expected j)
+          | None -> Alcotest.fail (id ^ ": expected a final checkpoint"))
+        jobs)
 
 let test_until_target_bitwise () =
   let t_end = 0.12 in
@@ -478,18 +484,14 @@ let () =
         [ Alcotest.test_case "fair share under mixed priorities" `Quick
             test_queue_fair_share;
           Alcotest.test_case "requeue keeps submission rank" `Quick
-            test_queue_requeue_rank;
-          Alcotest.test_case "eligibility predicate" `Quick
-            test_queue_eligible ] );
+            test_queue_requeue_rank ] );
       ( "scheduler",
-        [ Alcotest.test_case "preempt/resume bitwise (seq, batched)" `Quick
-            test_bitwise_seq_batched;
-          Alcotest.test_case "preempt/resume bitwise (spmd, batched)" `Quick
-            test_bitwise_spmd_batched;
-          Alcotest.test_case "preempt/resume bitwise (forkjoin, batched)"
-            `Quick test_bitwise_forkjoin_batched;
-          Alcotest.test_case "preempt/resume bitwise (spmd, large path)"
-            `Quick test_bitwise_spmd_large;
+        [ Alcotest.test_case "preempt/resume bitwise (seq)" `Quick
+            (bitwise_preemption Parallel.Exec.sequential);
+          Alcotest.test_case "preempt/resume bitwise (spmd)" `Quick
+            (bitwise_preemption (fun () -> Parallel.Exec.spmd ~lanes:2));
+          Alcotest.test_case "preempt/resume bitwise (forkjoin)" `Quick
+            (bitwise_preemption (fun () -> Parallel.Exec.fork_join ~lanes:2));
           Alcotest.test_case "timed target bitwise" `Quick
             test_until_target_bitwise;
           Alcotest.test_case "failed job isolated" `Quick
