@@ -113,4 +113,13 @@ val map_expr : (expr -> expr) -> expr -> expr
 
 val fresh_name : string -> string
 (** A name guaranteed not to clash with source identifiers (uses a
-    reserved [$] character and a global counter). *)
+    reserved [$] character and a counter local to the calling
+    domain). *)
+
+val restart_fresh_names : program -> unit
+(** Restarts this domain's {!fresh_name} counter just above every
+    [$]-suffix already used in the program ([\[\]] restarts it at
+    zero).  Called at the start of parsing and of optimisation, so
+    the names a compile generates depend only on its input, never on
+    earlier compiles in the process, and never clash with names the
+    input already carries. *)

@@ -395,6 +395,7 @@ let parse_fundef st =
   { fname; ret; params = List.rev !params; fbody; finline }
 
 let parse_program src =
+  restart_fresh_names [];
   let st = { toks = Array.of_list (Lexer.tokenize src); at = 0 } in
   let funs = ref [] in
   while (cur st).Lexer.tok <> Lexer.EOF do

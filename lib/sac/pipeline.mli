@@ -42,11 +42,18 @@ type report = {
   bytecode : Bytecode.summary option;
       (** bytecode-stage sizes; [None] unless produced by
           {!compile_bytecode} *)
+  pass_ms : (string * float) list;
+      (** wall time per pass in milliseconds, summed over cycles, in
+          pipeline order: inline, copy, specialise, fold, fuse,
+          unroll, cse, dce, typecheck (the self-checks), then lower
+          when produced by {!compile_bytecode} *)
 }
 
 val optimize : ?options:options -> Ast.program -> Ast.program * report
 (** Type-checks, then runs the cycle.  The result is re-type-checked
-    after every cycle as a compiler self-check.
+    after every cycle as a compiler self-check.  Restarts the
+    domain's {!Ast.fresh_name} counter above the input's names, so
+    the output depends only on the input and the options.
     @raise Typecheck.Error if the input (or, signalling a compiler
     bug, an intermediate result) is ill-typed. *)
 

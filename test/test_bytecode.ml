@@ -72,6 +72,53 @@ let test_golden_listings () =
         (Sac.Bytecode.to_string bc))
     golden_names
 
+(* The embedded Euler programs under the paper's options: the
+   optimised program and its bytecode, blessed into NAME.opt.lst.
+   These pin the optimiser's output, so a change meant to make it
+   cheaper must leave them byte-identical.  As in an expected-
+   instruction-list test, the line count is checked first (a cheap
+   "how much moved" signal), then every line. *)
+let optimised_listing (name, src) =
+  let prog, bc, _ = compile src in
+  ( name,
+    Sac.Pretty.program_to_string prog ^ Sac.Bytecode.to_string bc )
+
+let euler_programs =
+  [ ("euler1d", Sacprog.Programs.euler_1d);
+    ("euler2d", Sacprog.Programs.euler_2d) ]
+
+let test_golden_optimised () =
+  List.iter
+    (fun (name, actual) ->
+      let expected = golden_listing (name ^ ".opt") in
+      let lines s = String.split_on_char '\n' s in
+      check_int (name ^ " listing lines")
+        (List.length (lines expected)) (List.length (lines actual));
+      Alcotest.(check (list string))
+        (name ^ " (re-bless with scripts/bless_bytecode.sh only if the \
+                 optimiser's output is meant to move)")
+        (lines expected) (lines actual))
+    (List.map optimised_listing euler_programs)
+
+(* Generated names come from a per-domain counter restarted by each
+   compile, so a compile's output depends only on its source and
+   options: not on earlier compiles, nor on the domain it runs on. *)
+let test_compile_deterministic () =
+  List.iter
+    (fun (name, src) ->
+      let first = optimised_listing (name, src) in
+      let again = optimised_listing (name, src) in
+      let elsewhere =
+        Domain.join (Domain.spawn (fun () -> optimised_listing (name, src)))
+      in
+      check_string (name ^ " recompiled") (snd first) (snd again);
+      check_string (name ^ " on a spawned domain") (snd first)
+        (snd elsewhere);
+      let _, bc1, _ = compile src and _, bc2, _ = compile src in
+      Alcotest.(check bool) (name ^ " bytecode structurally equal") true
+        (bc1 = bc2))
+    euler_programs
+
 let test_report_summary () =
   let _, bc, report = compile Sacprog.Programs.euler_1d in
   let s =
@@ -649,6 +696,10 @@ let () =
   Alcotest.run "bytecode"
     [ ( "disassembly",
         [ Alcotest.test_case "golden listings" `Quick test_golden_listings;
+          Alcotest.test_case "optimised euler listings" `Quick
+            test_golden_optimised;
+          Alcotest.test_case "compile deterministic" `Quick
+            test_compile_deterministic;
           Alcotest.test_case "report summary" `Quick test_report_summary;
           Alcotest.test_case "fusion shrinks" `Quick test_fusion_shrinks ] );
       ( "differential",
