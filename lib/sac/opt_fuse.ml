@@ -6,20 +6,19 @@ let infer prog env e =
   try Some (Typecheck.infer_expr prog env e) with
   | Typecheck.Error _ -> None
 
-let is_double_array prog env e =
-  match infer prog env e with
+(* Queries on a node's annotation (see {!Typecheck.annotate}): the
+   element transformer and its helpers read the types annotated once
+   per statement instead of re-inferring every subtree they visit. *)
+let is_double_array (t : Typecheck.typed) =
+  match t.ty with
   | Some t -> t.base = Tdouble && t.shape <> Aks []
   | None -> false
 
-let is_scalar_expr prog env e =
-  match infer prog env e with
-  | Some t -> Types.is_scalar t
-  | None -> false
+let is_scalar_expr (t : Typecheck.typed) =
+  match t.ty with Some t -> Types.is_scalar t | None -> false
 
-let rank_of prog env e =
-  match infer prog env e with
-  | Some t -> Types.rank_of t.shape
-  | None -> None
+let rank_of (t : Typecheck.typed) =
+  match t.ty with Some t -> Types.rank_of t.shape | None -> None
 
 let literal_ints es =
   let rec go acc = function
@@ -63,64 +62,62 @@ let full_partition w =
 (* element [ix] of array expression [e].                               *)
 (* ------------------------------------------------------------------ *)
 
-let rec elem prog env e ix =
-  if is_scalar_expr prog env e then e
+let rec elem e (t : Typecheck.typed) ix =
+  if is_scalar_expr t then e
   else
-    match e with
-    | Var _ -> Idx (e, ix)
-    | Binop (op, a, b) when is_arith op ->
-      Binop (op, elem prog env a ix, elem prog env b ix)
-    | Unop (Neg, a) -> Unop (Neg, elem prog env a ix)
-    | Call ("drop", [ Vec lits; a ]) -> (
-      match (literal_ints lits, rank_of prog env a) with
+    match (e, t.kids) with
+    | Var _, _ -> Idx (e, ix)
+    | Binop (op, a, b), [ ta; tb ] when is_arith op ->
+      Binop (op, elem a ta ix, elem b tb ix)
+    | Unop (Neg, a), [ ta ] -> Unop (Neg, elem a ta ix)
+    | Call ("drop", [ Vec lits; a ]), [ _; ta ] -> (
+      match (literal_ints lits, rank_of ta) with
       | Some ks, Some r when List.length ks <= r ->
         let offs = List.map (fun k -> Int (max k 0)) (pad_to r ks) in
-        elem prog env a (Binop (Add, ix, Vec offs))
+        elem a ta (Binop (Add, ix, Vec offs))
       | _ -> raise Not_elementwise)
-    | Call ("take", [ Vec lits; a ]) -> (
+    | Call ("take", [ Vec lits; a ]), [ _; ta ] -> (
       (* Only front takes preserve offsets. *)
-      match (literal_ints lits, rank_of prog env a) with
+      match (literal_ints lits, rank_of ta) with
       | Some ks, Some r
         when List.length ks <= r && List.for_all (fun k -> k >= 0) ks ->
-        elem prog env a ix
+        elem a ta ix
       | _ -> raise Not_elementwise)
-    | Call (f, [ a ]) when elementwise_builtin f ->
-      Call (f, [ elem prog env a ix ])
-    | Call (("min" | "max") as f, [ a; b ]) ->
-      Call (f, [ elem prog env a ix; elem prog env b ix ])
-    | With w when full_partition w ->
+    | Call (f, [ a ]), [ ta ] when elementwise_builtin f ->
+      Call (f, [ elem a ta ix ])
+    | Call (("min" | "max") as f, [ a; b ]), [ ta; tb ] ->
+      Call (f, [ elem a ta ix; elem b tb ix ])
+    | With w, _ when full_partition w ->
       (* True with-loop folding: substitute the consumer's index into
          the producer's body. *)
       subst [ (w.ivar, ix) ] w.body
     | _ -> raise Not_elementwise
 
 (* Shape of the result, as an expression evaluated at runtime. *)
-let rec shape_of prog env e =
-  if is_scalar_expr prog env e then raise Not_elementwise
+let rec shape_of e (t : Typecheck.typed) =
+  if is_scalar_expr t then raise Not_elementwise
   else
-    match e with
-    | Var _ -> Call ("shape", [ e ])
-    | Binop (op, a, b) when is_arith op ->
-      if is_double_array prog env a then shape_of prog env a
-      else shape_of prog env b
-    | Unop (Neg, a) -> shape_of prog env a
-    | Call ("drop", [ Vec lits; a ]) -> (
-      match (literal_ints lits, rank_of prog env a) with
+    match (e, t.kids) with
+    | Var _, _ -> Call ("shape", [ e ])
+    | Binop (op, a, b), [ ta; tb ] when is_arith op ->
+      if is_double_array ta then shape_of a ta else shape_of b tb
+    | Unop (Neg, a), [ ta ] -> shape_of a ta
+    | Call ("drop", [ Vec lits; a ]), [ _; ta ] -> (
+      match (literal_ints lits, rank_of ta) with
       | Some ks, Some r when List.length ks <= r ->
         let abs_ks = List.map (fun k -> Int (abs k)) (pad_to r ks) in
-        Binop (Sub, shape_of prog env a, Vec abs_ks)
+        Binop (Sub, shape_of a ta, Vec abs_ks)
       | _ -> raise Not_elementwise)
-    | Call ("take", [ Vec lits; a ]) -> (
-      match (literal_ints lits, rank_of prog env a) with
+    | Call ("take", [ Vec lits; _ ]), [ _; ta ] -> (
+      match (literal_ints lits, rank_of ta) with
       | Some ks, Some r
         when List.length ks = r && List.for_all (fun k -> k >= 0) ks ->
         Vec (List.map (fun k -> Int k) ks)
       | _ -> raise Not_elementwise)
-    | Call (f, [ a ]) when elementwise_builtin f -> shape_of prog env a
-    | Call (("min" | "max"), [ a; b ]) ->
-      if is_double_array prog env a then shape_of prog env a
-      else shape_of prog env b
-    | With w -> (
+    | Call (f, [ a ]), [ ta ] when elementwise_builtin f -> shape_of a ta
+    | Call (("min" | "max"), [ a; b ]), [ ta; tb ] ->
+      if is_double_array ta then shape_of a ta else shape_of b tb
+    | With w, _ -> (
       match w.gen with
       | Genarray (s, _) -> s
       | Modarray _ | Fold _ -> raise Not_elementwise)
@@ -128,19 +125,19 @@ let rec shape_of prog env e =
 
 (* Count the whole-array operations a candidate expression would
    execute unfused. *)
-let rec array_ops prog env e =
-  if is_scalar_expr prog env e then 0
+let rec array_ops e (t : Typecheck.typed) =
+  if is_scalar_expr t then 0
   else
-    match e with
-    | Var _ | Dbl _ | Int _ | Bool _ -> 0
-    | Binop (op, a, b) when is_arith op ->
-      1 + array_ops prog env a + array_ops prog env b
-    | Unop (Neg, a) -> 1 + array_ops prog env a
-    | Call (("drop" | "take"), [ _; a ]) -> 1 + array_ops prog env a
-    | Call (f, [ a ]) when elementwise_builtin f -> 1 + array_ops prog env a
-    | Call (("min" | "max"), [ a; b ]) ->
-      1 + array_ops prog env a + array_ops prog env b
-    | With _ -> 1
+    match (e, t.kids) with
+    | (Var _ | Dbl _ | Int _ | Bool _), _ -> 0
+    | Binop (op, a, b), [ ta; tb ] when is_arith op ->
+      1 + array_ops a ta + array_ops b tb
+    | Unop (Neg, a), [ ta ] -> 1 + array_ops a ta
+    | Call (("drop" | "take"), [ _; a ]), [ _; ta ] -> 1 + array_ops a ta
+    | Call (f, [ a ]), [ ta ] when elementwise_builtin f -> 1 + array_ops a ta
+    | Call (("min" | "max"), [ a; b ]), [ ta; tb ] ->
+      1 + array_ops a ta + array_ops b tb
+    | With _, _ -> 1
     | _ -> 0
 
 (* Lower bound of a full frame: a literal zero vector when the rank is
@@ -151,111 +148,112 @@ let zero_bound rank shp =
   | Some r -> Vec (List.init r (fun _ -> Int 0))
   | None -> Binop (Mul, shp, Int 0)
 
-let try_fuse prog env e =
-  match e with
-  | With _ ->
-    (* Already a single with-loop: rewriting it would only churn
-       index-variable names. *)
-    None
-  | _ ->
-  match infer prog env e with
+(* The array expression [e] (typed [t]) as one with-loop producing
+   [gen]; [None] when [e] is no double array, has no array operation
+   to fold, or is not elementwise. *)
+let as_with_loop e (t : Typecheck.typed) gen =
+  match t.ty with
   | Some { base = Tdouble; shape } when shape <> Aks [] -> (
     (* Threshold 1: even a lone whole-array primitive becomes an
        explicit with-loop (it already executes as one), which exposes
        it to cross-statement folding. *)
-    if array_ops prog env e < 1 then None
+    if array_ops e t < 1 then None
     else
       try
-        let shp = shape_of prog env e in
+        let shp = shape_of e t in
         let iv = fresh_name "iv" in
-        let body = elem prog env e (Var iv) in
+        let body = elem e t (Var iv) in
         Some
           (With
              { ivar = iv;
                lb = zero_bound (Types.rank_of shape) shp;
                ub = shp;
                body;
-               gen = Genarray (shp, Dbl 0.) })
+               gen = gen shp })
       with Not_elementwise -> None)
   | _ -> None
+
+let try_fuse e t =
+  match e with
+  | With _ ->
+    (* Already a single with-loop: rewriting it would only churn
+       index-variable names. *)
+    None
+  | _ -> as_with_loop e t (fun shp -> Genarray (shp, Dbl 0.))
 
 (* Reduction folding: sum/maxval/minval over an elementwise tree
    becomes a single fold with-loop, so no intermediate array is
    materialised at all.  (Over an empty frame the fold returns its
    neutral element where the builtin would fail — a benign
    refinement.) *)
-let try_fuse_reduction prog env f arg =
+let try_fuse_reduction f arg targ =
   let op, neutral =
     match f with
     | "sum" -> (Fsum, Dbl 0.)
     | "maxval" -> (Fmax, Dbl Float.neg_infinity)
     | _ -> (Fmin, Dbl Float.infinity)
   in
-  match infer prog env arg with
-  | Some { base = Tdouble; shape } when shape <> Aks [] -> (
-    if array_ops prog env arg < 1 then None
-    else
-      try
-        let shp = shape_of prog env arg in
-        let iv = fresh_name "iv" in
-        let body = elem prog env arg (Var iv) in
-        Some
-          (With
-             { ivar = iv;
-               lb = zero_bound (Types.rank_of shape) shp;
-               ub = shp;
-               body;
-               gen = Fold (op, neutral) })
-      with Not_elementwise -> None)
-  | _ -> None
+  as_with_loop arg targ (fun _ -> Fold (op, neutral))
 
-(* Top-down rewrite: fuse the largest fusible subtrees. *)
-let rec fuse_expr prog env e =
+(* Top-down rewrite: fuse the largest fusible subtrees.  [t] is [e]'s
+   annotation in [env]; a with-loop body is annotated afresh with its
+   index variable bound. *)
+let rec fuse_expr prog env e (t : Typecheck.typed) =
   let reduction =
-    match e with
-    | Call (("sum" | "maxval" | "minval") as f, [ arg ]) ->
-      try_fuse_reduction prog env f arg
+    match (e, t.kids) with
+    | Call (("sum" | "maxval" | "minval") as f, [ arg ]), [ targ ] ->
+      try_fuse_reduction f arg targ
     | _ -> None
   in
   match reduction with
   | Some e' -> e'
   | None -> (
-  match try_fuse prog env e with
+  match try_fuse e t with
   | Some e' -> e'
   | None -> (
-    match e with
-    | Dbl _ | Int _ | Bool _ | Var _ -> e
-    | Vec es -> Vec (List.map (fuse_expr prog env) es)
-    | Binop (op, a, b) ->
-      Binop (op, fuse_expr prog env a, fuse_expr prog env b)
-    | Unop (op, a) -> Unop (op, fuse_expr prog env a)
-    | Cond (c, a, b) ->
-      Cond (fuse_expr prog env c, fuse_expr prog env a, fuse_expr prog env b)
-    | Call (f, args) -> Call (f, List.map (fuse_expr prog env) args)
-    | Idx (a, i) -> Idx (fuse_expr prog env a, fuse_expr prog env i)
-    | With w ->
+    let go = fuse_expr prog env in
+    match (e, t.kids) with
+    | (Dbl _ | Int _ | Bool _ | Var _), _ -> e
+    | Vec es, ts -> Vec (List.map2 go es ts)
+    | Binop (op, a, b), [ ta; tb ] -> Binop (op, go a ta, go b tb)
+    | Unop (op, a), [ ta ] -> Unop (op, go a ta)
+    | Cond (c, a, b), [ tc; ta; tb ] -> Cond (go c tc, go a ta, go b tb)
+    | Call (f, args), targs -> Call (f, List.map2 go args targs)
+    | Idx (a, i), [ ta; ti ] -> Idx (go a ta, go i ti)
+    | With w, tlb :: tub :: tgen ->
       let rank =
-        match infer prog env w.lb with
+        match tlb.ty with
         | Some t -> (match t.shape with Aks [ n ] -> Some n | _ -> None)
         | None -> None
       in
-      let env' =
-        ( w.ivar,
-          { base = Tint;
-            shape = (match rank with Some n -> Aks [ n ] | None -> Akd 1) } )
-        :: env
+      let ivt =
+        { base = Tint;
+          shape = (match rank with Some n -> Aks [ n ] | None -> Akd 1) }
+      in
+      let env' = (w.ivar, ivt) :: env in
+      (* The body's annotation serves when the checker bound the index
+         variable to the same type. *)
+      let tbody =
+        match t.inner with
+        | Some (ivt', tbody) when ivt' = ivt -> tbody
+        | _ -> Typecheck.annotate prog env' w.body
       in
       With
         { w with
-          lb = fuse_expr prog env w.lb;
-          ub = fuse_expr prog env w.ub;
-          body = fuse_expr prog env' w.body;
+          lb = go w.lb tlb;
+          ub = go w.ub tub;
+          body = fuse_expr prog env' w.body tbody;
           gen =
-            (match w.gen with
-             | Genarray (s, d) ->
-               Genarray (fuse_expr prog env s, fuse_expr prog env d)
-             | Modarray a -> Modarray (fuse_expr prog env a)
-             | Fold (op, n) -> Fold (op, fuse_expr prog env n)) }))
+            (match (w.gen, tgen) with
+             | Genarray (s, d), [ ts; td ] -> Genarray (go s ts, go d td)
+             | Modarray a, [ ta ] -> Modarray (go a ta)
+             | Fold (op, n), [ tn ] -> Fold (op, go n tn)
+             | _ -> assert false) }
+    | _ -> assert false))
+
+(* Fuse a whole expression typed in [env]. *)
+and fuse_in prog env e = fuse_expr prog env e (Typecheck.annotate prog env e)
+
 
 (* Statement walk with type-environment tracking, including a small
    fixpoint for loop-carried variables (their static shapes may
@@ -314,17 +312,20 @@ let rec fuse_stmts prog env stmts =
     let s', env' =
       match s with
       | Assign (v, e) ->
-        let e' = fuse_expr prog env e in
+        let t = Typecheck.annotate prog env e in
+        let e' = fuse_expr prog env e t in
+        (* An unchanged right-hand side keeps its annotated type. *)
+        let ty = if e' = e then t.ty else infer prog env e' in
         let env' =
-          match infer prog env e' with
+          match ty with
           | Some t -> (v, t) :: List.remove_assoc v env
           | None -> List.remove_assoc v env
         in
         (Assign (v, e'), env')
-      | Return e -> (Return (fuse_expr prog env e), env)
+      | Return e -> (Return (fuse_in prog env e), env)
       | If (c, a, b) ->
         ( If
-            ( fuse_expr prog env c,
+            ( fuse_in prog env c,
               fuse_stmts prog env a,
               fuse_stmts prog env b ),
           body_env prog env [ s ] )
@@ -334,16 +335,18 @@ let rec fuse_stmts prog env stmts =
           | Some t -> t
           | None -> scalar Tint
         in
+        (* Also the environment after the loop, as [body_env] would
+           compute it. *)
         let loop_env =
           stable_loop_env prog ((v, t0) :: List.remove_assoc v env) body
         in
         ( For
             ( v,
-              fuse_expr prog env init,
-              fuse_expr prog loop_env cond,
-              fuse_expr prog loop_env step,
+              fuse_in prog env init,
+              fuse_in prog loop_env cond,
+              fuse_in prog loop_env step,
               fuse_stmts prog loop_env body ),
-          body_env prog env [ s ] )
+          loop_env )
     in
     s' :: fuse_stmts prog env' rest
 

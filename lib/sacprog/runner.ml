@@ -6,11 +6,35 @@ type compiled = {
 
 type engine = [ `Interp | `Vm ]
 
-let compile_euler_1d ?options () =
-  let program, bytecode, report =
-    Sac.Pipeline.compile_bytecode ?options Programs.euler_1d
-  in
-  { program; bytecode; report }
+(* Compiled embedded programs, one per source text and options, for
+   the whole process.  Sharing one [compiled] between VM contexts is
+   safe: bytecode and AST are immutable (constants are scalars) and
+   every kernel cache and counter lives in the context.  One lock
+   guards the table and is held across a compile, so concurrent first
+   requests for a program wait for one compile instead of racing (a
+   [Lazy] forced from two domains at once would raise). *)
+let cache : (string * Sac.Pipeline.options, compiled) Hashtbl.t =
+  Hashtbl.create 4
+
+let cache_lock = Mutex.create ()
+let misses = ref 0
+
+let compile_cached ?(options = Sac.Pipeline.default_options) src =
+  Mutex.protect cache_lock (fun () ->
+      match Hashtbl.find_opt cache (src, options) with
+      | Some c -> c
+      | None ->
+        let program, bytecode, report =
+          Sac.Pipeline.compile_bytecode ~options src
+        in
+        let c = { program; bytecode; report } in
+        Hashtbl.add cache (src, options) c;
+        incr misses;
+        c)
+
+let compiles () = Mutex.protect cache_lock (fun () -> !misses)
+
+let compile_euler_1d ?options () = compile_cached ?options Programs.euler_1d
 
 (* Both engines expose the same run-by-name interface; the bytecode VM
    is the default, the tree-walking interpreter stays available for
@@ -59,11 +83,7 @@ let native_sod_state ~nx ~steps =
       in
       st.Euler.State.q.(k).(o))
 
-let compile_euler_2d ?options () =
-  let program, bytecode, report =
-    Sac.Pipeline.compile_bytecode ?options Programs.euler_2d
-  in
-  { program; bytecode; report }
+let compile_euler_2d ?options () = compile_cached ?options Programs.euler_2d
 
 let quadrant_state ?exec ?parallel_threshold ?(engine = `Vm) compiled ~n
     ~steps =

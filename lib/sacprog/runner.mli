@@ -19,7 +19,10 @@ type engine = [ `Interp | `Vm ]
     bitwise-identical results. *)
 
 val compile_euler_1d : ?options:Sac.Pipeline.options -> unit -> compiled
-(** Parse, type-check, optimise and lower {!Programs.euler_1d}. *)
+(** Parse, type-check, optimise and lower {!Programs.euler_1d}, once
+    per process and options: later calls (from any domain) return the
+    same physical value.  {!Sac.Pipeline.compile_bytecode} stays
+    uncached for a fresh compile. *)
 
 val sod_state :
   ?exec:Parallel.Exec.t -> ?parallel_threshold:int -> ?engine:engine ->
@@ -35,8 +38,13 @@ val native_sod_state : nx:int -> steps:int -> Tensor.Nd.t
     {!Euler.Solver.benchmark_config}, delivered in the same [3 x nx]
     layout for comparison. *)
 
+val compiles : unit -> int
+(** How many compiles the cache behind {!compile_euler_1d} and
+    {!compile_euler_2d} has run in this process: one per program and
+    options first asked for. *)
+
 val compile_euler_2d : ?options:Sac.Pipeline.options -> unit -> compiled
-(** Parse, type-check, optimise and lower {!Programs.euler_2d}. *)
+(** {!compile_euler_1d} for {!Programs.euler_2d}, cached the same way. *)
 
 val quadrant_state :
   ?exec:Parallel.Exec.t -> ?parallel_threshold:int -> ?engine:engine ->
