@@ -11,10 +11,9 @@ let max_eigenvalue exec (st : State.t) =
   and q_mx = st.State.q.(State.i_mx)
   and q_my = st.State.q.(State.i_my)
   and q_e = st.State.q.(State.i_e) in
-  (* parallel_reduce_lanes rather than parallel_reduce_max: the body
-     stores into a preallocated per-lane slot (an unboxed float-array
-     write) instead of returning a float, which would box one word per
-     cell per call without flambda. *)
+  (* The body stores into a preallocated per-lane slot (an unboxed
+     float-array write) instead of returning a float, which would box
+     one word per cell per call without flambda. *)
   Parallel.Exec.parallel_reduce_lanes exec ~lo:0 ~hi:(nx * ny)
     ~init:Float.neg_infinity ~combine:Float.max
     (fun ~acc ~cell:slot ~lane:_ cell ->

@@ -92,35 +92,44 @@ let compute_primitives t exec =
           s.qp.(i_pc).(o) <- pc;
           s.qp.(i_rc).(o) <- rc))
 
-(* SUBROUTINE GetDT — the paper's §4.2 listing. *)
+(* SUBROUTINE GetDT — the paper's §4.2 listing.  Each cell's
+   eigenvalue is folded into its lane's slot of [acc] (a float-array
+   store): a body returning the float would box it, two words per
+   cell per step. *)
 let get_dt_raw t exec =
   let s = t.storage in
   let g = s.grid in
   let one_d = Euler.Grid.is_1d g in
-  let ev_of_cell o =
+  let fold_cell acc slot o =
     let ux = s.qp.(i_ux).(o)
     and uy = s.qp.(i_uy).(o)
     and pc = s.qp.(i_pc).(o)
     and rc = s.qp.(i_rc).(o) in
     let c = Float.sqrt (s.gam *. pc /. rc) in
     let ev = (Float.abs ux +. c) /. g.Euler.Grid.dx in
-    if one_d then ev
-    else ev +. ((Float.abs uy +. c) /. g.Euler.Grid.dy)
+    let ev =
+      if one_d then ev else ev +. ((Float.abs uy +. c) /. g.Euler.Grid.dy)
+    in
+    if ev > acc.(slot) then acc.(slot) <- ev
+  in
+  let reduce ~hi body =
+    Parallel.Exec.parallel_reduce_lanes exec ~lo:0 ~hi
+      ~init:Float.neg_infinity ~combine:Float.max
+      (fun ~acc ~cell:slot ~lane:_ i -> body acc slot i)
   in
   let ev_max =
     match t.autopar with
     | Outer ->
-      Parallel.Exec.parallel_reduce_max exec ~lo:0
-        ~hi:(g.Euler.Grid.nx * g.Euler.Grid.ny) (fun cell ->
+      reduce ~hi:(g.Euler.Grid.nx * g.Euler.Grid.ny) (fun acc slot cell ->
           let ix = cell mod g.Euler.Grid.nx
           and iy = cell / g.Euler.Grid.nx in
-          ev_of_cell (Euler.Grid.offset g ix iy))
+          fold_cell acc slot (Euler.Grid.offset g ix iy))
     | Inner ->
       let m = ref Float.neg_infinity in
       for iy = 0 to g.Euler.Grid.ny - 1 do
         let row_max =
-          Parallel.Exec.parallel_reduce_max exec ~lo:0 ~hi:g.Euler.Grid.nx
-            (fun ix -> ev_of_cell (Euler.Grid.offset g ix iy))
+          reduce ~hi:g.Euler.Grid.nx (fun acc slot ix ->
+              fold_cell acc slot (Euler.Grid.offset g ix iy))
         in
         if row_max > !m then m := row_max
       done;

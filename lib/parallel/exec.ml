@@ -251,14 +251,6 @@ let parallel_reduce_lanes ?schedule ?(region = Reduce) t ~lo ~hi ~init
     !result
   end
 
-(* Each lane folds its chunk in index order into its own slot, so the
-   result does not depend on the scheduler. *)
-let parallel_reduce_max ?(region = Reduce) t ~lo ~hi body =
-  parallel_reduce_lanes ~region t ~lo ~hi ~init:Float.neg_infinity
-    ~combine:Float.max (fun ~acc ~cell ~lane:_ i ->
-      let v = body i in
-      if v > acc.(cell) then acc.(cell) <- v)
-
 let regions t = Atomic.get t.count
 let reset_regions t = Atomic.set t.count 0
 

@@ -135,22 +135,15 @@ val parallel_reduce_lanes :
   float
 (** Allocation-free parallel reduction.  Each lane accumulates into
     its private slot [acc.(cell)] (a plain float-array store — no
-    float boxing, no tuples, unlike {!parallel_reduce_max} whose body
-    returns a boxed float per index); slots live [lane_pad] floats
-    apart in a buffer owned by the scheduler, so lanes never contend
-    on a cache line.  Slots start at [init] (which must be a neutral
+    float boxing, no tuples, where a body returning its float would
+    box one per index); slots live [lane_pad] floats apart in a
+    buffer owned by the scheduler, so lanes never contend on a cache
+    line.  Slots start at [init] (which must be a neutral
     element of [combine]); after the barrier the orchestrator folds
     the per-lane slots with [combine] (called once per lane, not per
     index).  Returns [init] on an empty range.  [combine] must be
     associative and commutative — under [Dynamic] scheduling the
     assignment of indices to lanes is nondeterministic. *)
-
-val parallel_reduce_max :
-  ?region:region -> t -> lo:int -> hi:int -> (int -> float) -> float
-(** Parallel maximum of [f i] over the range (the GetDT pattern);
-    returns [neg_infinity] on an empty range.  Each lane folds its
-    chunk locally; partial results are combined after the barrier.
-    Charged to the [Reduce] bucket by default. *)
 
 type gc_words = { mutable minor : float; mutable promoted : float }
 

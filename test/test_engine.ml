@@ -213,15 +213,23 @@ let test_cost_model_tracks_measured_regions () =
 (* Reduce clamp (satellite: fork/join with lanes > range)              *)
 (* ------------------------------------------------------------------ *)
 
+(* Parallel maximum of [f i] over the range, folded into the lane
+   slots of {!Parallel.Exec.parallel_reduce_lanes}. *)
+let reduce_max exec ~lo ~hi f =
+  Parallel.Exec.parallel_reduce_lanes exec ~lo ~hi ~init:Float.neg_infinity
+    ~combine:Float.max (fun ~acc ~cell ~lane:_ i ->
+      let v = f i in
+      if v > acc.(cell) then acc.(cell) <- v)
+
 let test_fork_join_reduce_short_range () =
   let exec = Parallel.Exec.fork_join ~lanes:8 in
   let m =
-    Parallel.Exec.parallel_reduce_max exec ~lo:0 ~hi:3 (fun i ->
+    reduce_max exec ~lo:0 ~hi:3 (fun i ->
         float_of_int (10 - i))
   in
   check_float "max over short range" 10. m;
   check_float "empty range" neg_infinity
-    (Parallel.Exec.parallel_reduce_max exec ~lo:0 ~hi:0 (fun _ -> 1.))
+    (reduce_max exec ~lo:0 ~hi:0 (fun _ -> 1.))
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint / restart                                                *)

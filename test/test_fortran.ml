@@ -211,23 +211,26 @@ let test_conservation () =
   check_float "mass conserved" m0
     (Euler.State.total_mass (Fortran_baseline.F_solver.state f))
 
+(* Minor words per step charged to [region]'s bucket on an [nx]-cell
+   Sod tube.  Counted on a sequential exec, where the count is
+   deterministic. *)
+let words_per_step region nx =
+  let f = Fortran_baseline.F_solver.of_problem (Euler.Setup.sod ~nx ()) in
+  let exec = seq () in
+  Fortran_baseline.F_solver.run_steps f exec 2;
+  Parallel.Exec.reset_buckets exec;
+  let steps = 10 in
+  Fortran_baseline.F_solver.run_steps f exec steps;
+  match List.assoc_opt region (Parallel.Exec.buckets exec) with
+  | Some b -> b.Parallel.Exec.minor_words /. float_of_int steps
+  | None -> Alcotest.fail "no bucket for the region"
+
 (* The PC+Rusanov face flux writes straight into the flux arrays: the
    Rhs bucket's minor words per step stay a small constant whatever
-   the tube length.  Counted on a sequential exec, where the count is
-   deterministic. *)
+   the tube length. *)
 let test_rhs_words_flat () =
-  let rhs_words_per_step nx =
-    let f = Fortran_baseline.F_solver.of_problem (Euler.Setup.sod ~nx ()) in
-    let exec = seq () in
-    Fortran_baseline.F_solver.run_steps f exec 2;
-    Parallel.Exec.reset_buckets exec;
-    let steps = 10 in
-    Fortran_baseline.F_solver.run_steps f exec steps;
-    match List.assoc_opt Parallel.Exec.Rhs (Parallel.Exec.buckets exec) with
-    | Some b -> b.Parallel.Exec.minor_words /. float_of_int steps
-    | None -> Alcotest.fail "no rhs bucket"
-  in
-  let w200 = rhs_words_per_step 200 and w4000 = rhs_words_per_step 4000 in
+  let w200 = words_per_step Parallel.Exec.Rhs 200
+  and w4000 = words_per_step Parallel.Exec.Rhs 4000 in
   let msg =
     Printf.sprintf "rhs %.0f words/step at nx 200, %.0f at nx 4000" w200
       w4000
@@ -235,6 +238,18 @@ let test_rhs_words_flat () =
   check_bool ("flat in nx: " ^ msg) true (Float.abs (w4000 -. w200) <= 64.);
   check_bool ("at most 2k: " ^ msg) true
     (Float.max w200 w4000 <= 2048.)
+
+(* GetDT folds each cell's eigenvalue into a per-lane slot: the Reduce
+   bucket allocates no words per cell. *)
+let test_reduce_words_flat () =
+  let w200 = words_per_step Parallel.Exec.Reduce 200
+  and w4000 = words_per_step Parallel.Exec.Reduce 4000 in
+  let msg =
+    Printf.sprintf "reduce %.0f words/step at nx 200, %.0f at nx 4000" w200
+      w4000
+  in
+  check_bool ("flat in nx: " ^ msg) true (Float.abs (w4000 -. w200) <= 64.);
+  check_bool ("at most 256: " ^ msg) true (Float.max w200 w4000 <= 256.)
 
 let test_autopar_names () =
   Alcotest.(check string) "inner" "inner"
@@ -265,4 +280,6 @@ let () =
           Alcotest.test_case "conservation" `Quick test_conservation;
           Alcotest.test_case "rhs words flat in nx" `Quick
             test_rhs_words_flat;
+          Alcotest.test_case "reduce words flat in nx" `Quick
+            test_reduce_words_flat;
           Alcotest.test_case "autopar names" `Quick test_autopar_names ] ) ]

@@ -30,9 +30,12 @@ let test_survive_churn () =
             Parallel.Exec.parallel_for sched ~lo:0 ~hi:3 (fun _ ->
                 churn (500 + (i mod 7)));
             ignore
-              (Parallel.Exec.parallel_reduce_max sched ~lo:0 ~hi:3 (fun k ->
+              (Parallel.Exec.parallel_reduce_lanes sched ~lo:0 ~hi:3
+                 ~init:Float.neg_infinity ~combine:Float.max
+                 (fun ~acc ~cell ~lane:_ k ->
                    churn (700 + k);
-                   float_of_int k));
+                   let v = float_of_int k in
+                   if v > acc.(cell) then acc.(cell) <- v));
             Parallel.Exec.parallel_phases sched
               [| { Parallel.Exec.region = Parallel.Exec.Bc; lo = 0; hi = 2;
                    body };

@@ -411,17 +411,25 @@ let test_exec_parallel_for () =
       check_float (name ^ " sum") 499500. (Array.fold_left ( +. ) 0. a))
     (exec_kinds ())
 
+(* Parallel maximum of [f i] over the range, folded into the lane
+   slots of {!Parallel.Exec.parallel_reduce_lanes}. *)
+let reduce_max exec ~lo ~hi f =
+  Parallel.Exec.parallel_reduce_lanes exec ~lo ~hi ~init:Float.neg_infinity
+    ~combine:Float.max (fun ~acc ~cell ~lane:_ i ->
+      let v = f i in
+      if v > acc.(cell) then acc.(cell) <- v)
+
 let test_exec_reduce_max () =
   List.iter
     (fun (name, sched) ->
       (* max of i*(100-i) over [0,100) is at i=50. *)
       let v =
-        Parallel.Exec.parallel_reduce_max sched ~lo:0 ~hi:100 (fun i ->
+        reduce_max sched ~lo:0 ~hi:100 (fun i ->
             float_of_int (i * (100 - i)))
       in
       check_float (name ^ " argmax value") 2500. v;
       let empty =
-        Parallel.Exec.parallel_reduce_max sched ~lo:5 ~hi:5 (fun _ -> 1.)
+        reduce_max sched ~lo:5 ~hi:5 (fun _ -> 1.)
       in
       check_bool (name ^ " empty") true (empty = Float.neg_infinity))
     (exec_kinds ())
@@ -430,7 +438,7 @@ let test_exec_region_counting () =
   let sched = Parallel.Exec.sequential () in
   Parallel.Exec.parallel_for sched ~lo:0 ~hi:10 ignore;
   Parallel.Exec.parallel_for sched ~lo:0 ~hi:10 ignore;
-  ignore (Parallel.Exec.parallel_reduce_max sched ~lo:0 ~hi:4 float_of_int);
+  ignore (reduce_max sched ~lo:0 ~hi:4 float_of_int);
   check_int "three regions" 3 (Parallel.Exec.regions sched);
   Parallel.Exec.reset_regions sched;
   check_int "reset" 0 (Parallel.Exec.regions sched);
@@ -578,8 +586,8 @@ let test_exec_phase_attribution () =
 let test_exec_reduce_lanes () =
   List.iter
     (fun (name, sched) ->
-      (* Max via per-lane slots must agree exactly with the boxed
-         reduction (max is order-independent). *)
+      (* Max via per-lane slots is exact under every scheduler (max
+         is order-independent). *)
       let f i = float_of_int (i * (100 - i)) in
       let via_slots =
         Parallel.Exec.parallel_reduce_lanes sched ~lo:0 ~hi:100
