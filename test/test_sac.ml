@@ -286,6 +286,75 @@ let test_typecheck_branch_join () =
           if (b) { v = [1.0, 2.0]; } else { v = [1.0, 2.0, 3.0]; } \
           return (maxval(v)); }")
 
+(* [Typecheck.annotate] must give every node the type [infer_expr]
+   gives it in the same environment (None where it raises), and a
+   with-loop body the type it has with the index variable bound as
+   annotated. *)
+let rec annotation_agrees prog env e (t : Sac.Typecheck.typed) =
+  let expected =
+    try Some (Sac.Typecheck.infer_expr prog env e)
+    with Sac.Typecheck.Error _ -> None
+  in
+  let kids = Sac.Typecheck.children e in
+  t.Sac.Typecheck.ty = expected
+  && List.length kids = List.length t.Sac.Typecheck.kids
+  && List.for_all2 (annotation_agrees prog env) kids t.Sac.Typecheck.kids
+  &&
+  match (e, t.Sac.Typecheck.inner) with
+  | Sac.Ast.With w, Some (ivt, tbody) ->
+    annotation_agrees prog ((w.Sac.Ast.ivar, ivt) :: env) w.Sac.Ast.body tbody
+  | _ -> true
+
+(* Every right-hand side of every function, each in the environment
+   its statement sees (loop and branch bodies in the enclosing one). *)
+let annotations_agree prog =
+  let rec stmts env = function
+    | [] -> true
+    | s :: rest -> (
+      let ok e = annotation_agrees prog env e (Sac.Typecheck.annotate prog env e) in
+      match s with
+      | Sac.Ast.Assign (v, e) ->
+        let env' =
+          match Sac.Typecheck.infer_expr prog env e with
+          | t -> (v, t) :: List.remove_assoc v env
+          | exception Sac.Typecheck.Error _ -> List.remove_assoc v env
+        in
+        ok e && stmts env' rest
+      | Sac.Ast.Return e -> ok e && stmts env rest
+      | Sac.Ast.If (c, a, b) -> ok c && stmts env a && stmts env b && stmts env rest
+      | Sac.Ast.For (_, i, c, st, body) ->
+        ok i && ok c && ok st && stmts env body && stmts env rest)
+  in
+  List.for_all
+    (fun fd ->
+      stmts
+        (List.map (fun p -> (p.Sac.Ast.pname, p.Sac.Ast.pty)) fd.Sac.Ast.params)
+        fd.Sac.Ast.fbody)
+    prog
+
+let test_annotate_matches_infer () =
+  List.iter
+    (fun (name, src) ->
+      let parsed = Sac.Parser.parse_program src in
+      check_bool (name ^ " as parsed") true (annotations_agree parsed);
+      let optimised, _ = Sac.Pipeline.optimize parsed in
+      check_bool (name ^ " optimised") true (annotations_agree optimised))
+    [ ("euler_1d", Sacprog.Programs.euler_1d);
+      ("euler_2d", Sacprog.Programs.euler_2d);
+      ("get_dt", Sacprog.Programs.get_dt) ];
+  (* Ill-typed nodes annotate as None, and their operands still get
+     their own types. *)
+  let prog = Sac.Parser.parse_program "double f(double[.] a) { return (0.0); }" in
+  let env = [ ("a", { Sac.Ast.base = Sac.Ast.Tdouble; shape = Sac.Ast.Akd 1 }) ] in
+  List.iter
+    (fun src ->
+      let e = Sac.Parser.parse_expr src in
+      check_bool src true
+        (annotation_agrees prog env e (Sac.Typecheck.annotate prog env e)))
+    [ "a + true"; "nosuch(a, 1.0) * 2.0"; "a[[true]]";
+      "with { ([0] <= iv < [true]) : a[iv]; } : genarray([3], 0.0)";
+      "with { ([0] <= iv < shape(a)) : a[iv] + 1.0; } : fold(+, 0.0)" ]
+
 (* ------------------------------------------------------------------ *)
 (* Evaluator                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -1007,7 +1076,9 @@ let () =
           Alcotest.test_case "subtyped calls" `Quick
             test_typecheck_subtyped_call;
           Alcotest.test_case "branch join" `Quick
-            test_typecheck_branch_join ] );
+            test_typecheck_branch_join;
+          Alcotest.test_case "annotate matches infer" `Quick
+            test_annotate_matches_infer ] );
       ( "eval",
         [ Alcotest.test_case "genarray" `Quick test_eval_with_genarray;
           Alcotest.test_case "partial partition" `Quick
