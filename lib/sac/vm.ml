@@ -547,25 +547,28 @@ let build_thread ?(unchecked = false) (code : kinstr array)
                    (base + (i0 * s0) + (i1 * s1)));
               next ()
         | KLoad (d, ar, base, dyn) ->
+          (* Plain [for] loops: an [Array.iter] closure over a [ref]
+             would allocate both on every element. *)
+          let nd = Array.length dyn in
           if unchecked then
             fun () ->
               let off = ref base in
-              Array.iter
-                (fun (r, _, strd) ->
-                  off := !off + (Array.unsafe_get ir r * strd))
-                dyn;
+              for p = 0 to nd - 1 do
+                let r, _, strd = Array.unsafe_get dyn p in
+                off := !off + (Array.unsafe_get ir r * strd)
+              done;
               Array.unsafe_set fr d
                 (Array.unsafe_get (Array.unsafe_get bk.acap ar) !off);
               next ()
           else
             fun () ->
               let off = ref base in
-              Array.iter
-                (fun (r, ext, strd) ->
-                  let i = Array.unsafe_get ir r in
-                  if i < 0 || i >= ext then err "index out of bounds";
-                  off := !off + (i * strd))
-                dyn;
+              for p = 0 to nd - 1 do
+                let r, ext, strd = Array.unsafe_get dyn p in
+                let i = Array.unsafe_get ir r in
+                if i < 0 || i >= ext then err "index out of bounds";
+                off := !off + (i * strd)
+              done;
               Array.unsafe_set fr d
                 (Array.unsafe_get (Array.unsafe_get bk.acap ar) !off);
               next ()
@@ -2077,18 +2080,76 @@ let build_batch ~ramp ~cls ~fullneed (code : kinstr array)
                done;
                next ())
         | KIcmp (c, d, a, b) ->
+          (* One closure per comparison, as in {!build_thread}: a shared
+             [fcmp c] call would box both float operands per lane. *)
           let vd = bir.(d) and va = bir.(a) and vb = bir.(b) in
-          fun () ->
-            for j = 0 to Array.unsafe_get blen 0 - 1 do
-              Array.unsafe_set vd j
-                (if
-                   fcmp c
-                     (float_of_int (Array.unsafe_get va j))
-                     (float_of_int (Array.unsafe_get vb j))
-                 then 1
-                 else 0)
-            done;
-            next ()
+          (match c with
+           | Ceq ->
+             fun () ->
+               for j = 0 to Array.unsafe_get blen 0 - 1 do
+                 Array.unsafe_set vd j
+                   (if
+                      float_of_int (Array.unsafe_get va j)
+                      = float_of_int (Array.unsafe_get vb j)
+                    then 1
+                    else 0)
+               done;
+               next ()
+           | Cne ->
+             fun () ->
+               for j = 0 to Array.unsafe_get blen 0 - 1 do
+                 Array.unsafe_set vd j
+                   (if
+                      float_of_int (Array.unsafe_get va j)
+                      <> float_of_int (Array.unsafe_get vb j)
+                    then 1
+                    else 0)
+               done;
+               next ()
+           | Clt ->
+             fun () ->
+               for j = 0 to Array.unsafe_get blen 0 - 1 do
+                 Array.unsafe_set vd j
+                   (if
+                      float_of_int (Array.unsafe_get va j)
+                      < float_of_int (Array.unsafe_get vb j)
+                    then 1
+                    else 0)
+               done;
+               next ()
+           | Cle ->
+             fun () ->
+               for j = 0 to Array.unsafe_get blen 0 - 1 do
+                 Array.unsafe_set vd j
+                   (if
+                      float_of_int (Array.unsafe_get va j)
+                      <= float_of_int (Array.unsafe_get vb j)
+                    then 1
+                    else 0)
+               done;
+               next ()
+           | Cgt ->
+             fun () ->
+               for j = 0 to Array.unsafe_get blen 0 - 1 do
+                 Array.unsafe_set vd j
+                   (if
+                      float_of_int (Array.unsafe_get va j)
+                      > float_of_int (Array.unsafe_get vb j)
+                    then 1
+                    else 0)
+               done;
+               next ()
+           | Cge ->
+             fun () ->
+               for j = 0 to Array.unsafe_get blen 0 - 1 do
+                 Array.unsafe_set vd j
+                   (if
+                      float_of_int (Array.unsafe_get va j)
+                      >= float_of_int (Array.unsafe_get vb j)
+                    then 1
+                    else 0)
+               done;
+               next ())
         | KBnot (d, a) ->
           let vd = bir.(d) and va = bir.(a) in
           fun () ->
@@ -2365,11 +2426,21 @@ type ctx = {
   elems : int Atomic.t;           (* their element counts *)
   nlanes : int;
   strips : strips array;          (* by lane *)
-  (* Only the orchestrating domain reaches these two: [get_kernel]
-     refuses calls from inside a parallel region. *)
+  (* Only the orchestrating domain reaches these: [get_kernel] refuses
+     calls from inside a parallel region, and [full_buffer] leaves the
+     pool alone there. *)
   mutable wgen : int;             (* with-execution counter *)
   mutable kfolds : int;           (* fold executions on the kernel path *)
+  mutable pool : float array list;
+      (* dead full-cover result buffers, reused by later calls *)
+  mutable taken : float array list;
+      (* full-cover result buffers of the running [run_fun] call *)
 }
+
+(* At most this many buffers are tracked per call and pooled: a Sod
+   step takes 9, and a long call (a whole [run]) retains no more than
+   this many of its dead results until it returns. *)
+let pool_cap = 16
 
 let make_ctx ?exec ?(parallel_threshold = 1024) ?(kernels = true) bc =
   List.iter
@@ -2394,7 +2465,9 @@ let make_ctx ?exec ?(parallel_threshold = 1024) ?(kernels = true) bc =
     nlanes;
     strips = Array.init nlanes (fun _ -> { sfr = [||]; sir = [||] });
     wgen = 0;
-    kfolds = 0 }
+    kfolds = 0;
+    pool = [];
+    taken = [] }
 
 (* Flush the counters into [st] (and zero them, so repeated calls
    keep accumulating correctly).  [flush] returns the total it moved. *)
@@ -3040,6 +3113,44 @@ let fold_walk ctx k entry ~lane op l u init =
    end);
   !acc
 
+(* ---------------- result buffer recycling ------------------------ *)
+
+(* A payload for a full-cover with-loop result, which writes every
+   cell: a pooled buffer of the right length when there is one, else a
+   fresh one.  On the orchestrating domain ([par = false]) the buffer
+   is tracked for [recycle]; lanes never touch the pool. *)
+let rec pool_take ctx size skipped = function
+  | [] -> Array.create_float size
+  | b :: rest when Array.length b = size ->
+    ctx.pool <- List.rev_append skipped rest;
+    b
+  | b :: rest -> pool_take ctx size (b :: skipped) rest
+
+let full_buffer ctx ~par size =
+  if par then Array.create_float size
+  else begin
+    let b = pool_take ctx size [] ctx.pool in
+    if List.compare_length_with ctx.taken pool_cap < 0 then
+      ctx.taken <- b :: ctx.taken;
+    b
+  end
+
+(* At the normal return of a top-level call, every buffer it tracked
+   is dead unless it is the payload of the returned value [v]: values
+   are immutable, [Value.t] has no compound variants, and views share
+   their payload physically, so nothing else can still reach one.
+   Those buffers go to the front of the pool, which keeps at most
+   [pool_cap].  A call that raises never gets here: its buffers are
+   dropped when the next call starts. *)
+let recycle ctx v =
+  match ctx.taken with
+  | [] -> ()
+  | taken ->
+    let keep = match v with Value.Vdarr t -> t.Tensor.Nd.data | _ -> [||] in
+    let dead = List.filter (fun b -> b != keep) taken in
+    ctx.pool <- List.filteri (fun i _ -> i < pool_cap) (dead @ ctx.pool);
+    ctx.taken <- []
+
 (* ---------------- the stack machine ------------------------------ *)
 
 let pop_args stack sp argc =
@@ -3254,7 +3365,7 @@ and exec_genarray ctx ~par w frame lb ub shp dflt =
      factor of the product is <= its extent), so the fill writes every
      cell and the default initialisation would be dead stores. *)
   let data =
-    if count = size && count > 0 then Array.create_float size
+    if count = size && count > 0 then full_buffer ctx ~par size
     else Array.make size dv
   in
   if count > 0 then fill ctx ~par w frame data shape l u count;
@@ -3278,7 +3389,7 @@ and exec_modarray ctx ~par w frame lb ub src =
      the whole source the copied cells are all overwritten. *)
   let size = Tensor.Nd.size t in
   let data =
-    if count = size && count > 0 then Array.create_float size
+    if count = size && count > 0 then full_buffer ctx ~par size
     else Array.copy t.Tensor.Nd.data
   in
   if count > 0 then fill ctx ~par w frame data shape l u count;
@@ -3364,6 +3475,10 @@ let run_fun ctx name args =
       Overload.resolve ctx.bc.B.source name
         (List.map Eval.ty_of_value args)
     with
-    | Ok fd -> call_fn ctx ~par:false (func_index ctx fd) args
+    | Ok fd ->
+      ctx.taken <- [];
+      let v = call_fn ctx ~par:false (func_index ctx fd) args in
+      recycle ctx v;
+      v
     | Error msg -> err msg)
   | None -> err ("no such function: " ^ name)

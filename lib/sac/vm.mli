@@ -29,7 +29,20 @@
     sequential walk because max/min are exactly associative and
     commutative in IEEE arithmetic.  Sum/product folds (and generic
     fold bodies) stay sequential, as in {!Eval}: a lane-partial
-    combine would change their rounding order. *)
+    combine would change their rounding order.
+
+    Full-cover genarray/modarray results (partitions that write every
+    cell) reuse dead payloads, as SaC's reference counting reuses a
+    dead result's memory.  A {!run_fun} call tracks the full-cover
+    payloads it allocates on the orchestrating domain (at most 16).
+    When it returns, each of them is dead unless it is physically the
+    payload of the returned value: values are immutable, {!Value.t}
+    has no compound variants, and views share their payload
+    physically, so nothing else can still reach one.  The dead ones go
+    to a per-context pool, and later full-cover with-loops of the same
+    length take their payload from it instead of allocating.  A call
+    that raises pools nothing, lanes inside a parallel region never
+    touch the pool, and a context serves one {!run_fun} at a time. *)
 
 type ctx
 

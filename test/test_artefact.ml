@@ -91,7 +91,8 @@ let hotpath ~quick =
             row "sacprog-vm"
               ~extra:
                 [ ("speedup_vs_interp", Float 130.0);
-                  ("slowdown_vs_reference_sod", Float 1.1) ];
+                  ("slowdown_vs_reference_sod", Float 1.1);
+                  ("minor_words_per_step", Float 3751.) ];
             row "sacprog-interp"; row "reference-sod" ] ) ]
 
 let execs_rows f =
@@ -235,6 +236,8 @@ let mutations =
           row "backends" 1 "speedup_vs_interp" (Float 0.8) );
         ( "min backends[name=sacprog-vm].slowdown_vs_reference_sod",
           row "backends" 1 "slowdown_vs_reference_sod" (Float 0.) );
+        ( "max backends[name=sacprog-vm].minor_words_per_step",
+          row "backends" 1 "minor_words_per_step" (Float 7577.) );
         ( "max backends[name=sacprog-vm].slowdown_vs_reference_sod",
           row "backends" 1 "slowdown_vs_reference_sod" (Float 2.4) ) ] );
     ( "scaling",

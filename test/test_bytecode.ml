@@ -692,6 +692,240 @@ let test_runner_par_threshold () =
     "sod par-threshold 2 = default (bitwise)" 0.
     (Sacprog.Runner.max_abs_diff q_default q_low)
 
+(* ------------------------------------------------------------------ *)
+(* With-loop result recycling                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The VM reuses the payloads of a call's dead full-cover with-loop
+   results in later calls.  These pin that nothing a caller still holds
+   is ever reused: earlier results keep their bits, results that leave
+   a call through a callee or a reshape are not recycled, a call that
+   raises pools nothing, and the recycled Sod march still equals the
+   interpreter and the 2-lane run bit for bit. *)
+
+let payload v = (Sac.Value.to_tensor v).Tensor.Nd.data
+
+(* The result and a private copy of its bits, taken as it returns. *)
+let snapshot v = (v, Sac.Value.Vdarr (Tensor.Nd.copy (Sac.Value.to_tensor v)))
+
+let check_snapshots label snaps =
+  List.iteri
+    (fun i (v, copy) ->
+      Alcotest.check bits_testable
+        (Printf.sprintf "%s: result %d unchanged" label (i + 1))
+        copy v)
+    snaps;
+  List.iteri
+    (fun i (a, _) ->
+      List.iteri
+        (fun j (b, _) ->
+          if i < j && payload a == payload b then
+            Alcotest.failf "%s: results %d and %d share a payload" label
+              (i + 1) (j + 1))
+        snaps)
+    snaps
+
+(* [steps] Sod steps of [nx] cells through the engine's entry points,
+   one call per dt and per step, so every step recycles the last one's
+   dead results.  Returns each step's state. *)
+let sod_march run ~nx ~steps =
+  let gam = vd Euler.Gas.gamma_air and dx = vd (1. /. float_of_int nx) in
+  let q = ref (run "sod_init" [ vi nx ]) in
+  let out = ref [] in
+  for _ = 1 to steps do
+    let dt = run "dt_of" [ !q; gam; dx; vd 0.5 ] in
+    q := run "step_dt" [ !q; dt; gam; dx ];
+    out := !q :: !out
+  done;
+  List.rev !out
+
+let euler_1d_bc () =
+  (Sacprog.Runner.compile_euler_1d ()).Sacprog.Runner.bytecode
+
+let test_recycle_earlier_results () =
+  let ctx = Sac.Vm.make_ctx (euler_1d_bc ()) in
+  let run name args = snapshot (Sac.Vm.run_fun ctx name args) in
+  let gam = vd Euler.Gas.gamma_air and dx = vd (1. /. 64.) in
+  let q0 = Sac.Vm.run_fun ctx "sod_init" [ vi 64 ] in
+  let step (q, _) = run "step_dt" [ q; vd 1e-3; gam; dx ] in
+  let s1 = step (q0, q0) in
+  let s2 = step s1 in
+  let s3 = step s2 in
+  check_snapshots "step_dt" [ s1; s2; s3 ]
+
+(* -O0 keeps [inner] a real callee. *)
+let escape_src =
+  {|
+double[.] inner(int n, double x) {
+  return (with { ([0] <= iv < [n]) : x; } : genarray([n], 0.0));
+}
+double[.] outer(int n, double x) { return (inner(n, x)); }
+double[.,.] shaped(int n, double x) { return (reshape([2, n], inner(2 * n, x))); }
+double[.] twice(int n, double x) {
+  a = inner(n, x);
+  return (with { ([0] <= iv < [n]) : 2.0 * a[iv]; } : genarray([n], 0.0));
+}
+double[.] bad(int n, double x) {
+  a = inner(n, x);
+  return (with { ([0] <= iv < [n]) : a[iv[0] + 1]; } : genarray([n], 0.0));
+}
+|}
+
+let escape_ctxs () =
+  let _, bc, _ = compile ~options:Sac.Pipeline.o0 escape_src in
+  [ ("sequential", Sac.Vm.make_ctx bc);
+    ( "2-lane",
+      Sac.Vm.make_ctx ~exec:(Parallel.Exec.spmd ~lanes:2)
+        ~parallel_threshold:4 bc ) ]
+
+let test_recycle_escapes () =
+  List.iter
+    (fun (label, ctx) ->
+      let run f x = snapshot (Sac.Vm.run_fun ctx f [ vi 16; vd x ]) in
+      let rs =
+        [ run "outer" 1.; run "outer" 2.; run "shaped" 3.; run "twice" 4.;
+          run "shaped" 5.; run "twice" 6.; run "outer" 7. ]
+      in
+      check_snapshots label rs;
+      List.iteri
+        (fun i (v, _) ->
+          let want = [| 1.; 2.; 3.; 8.; 5.; 12.; 7. |].(i) in
+          if Array.exists (fun x -> x <> want) (payload v) then
+            Alcotest.failf "%s: result %d is not all %g" label (i + 1) want)
+        rs)
+    (escape_ctxs ())
+
+let test_recycle_after_raise () =
+  List.iter
+    (fun (label, ctx) ->
+      let run f x = snapshot (Sac.Vm.run_fun ctx f [ vi 16; vd x ]) in
+      let r1 = run "twice" 1. in
+      let r2 = run "outer" 2. in
+      let raised f =
+        check_string (label ^ ": " ^ f ^ " raises")
+          "Eval.Error: index out of bounds"
+          (outcome_of (fun () -> Sac.Vm.run_fun ctx f [ vi 16; vd 9. ]))
+      in
+      raised "bad";
+      let r3 = run "twice" 3. in
+      raised "bad";
+      raised "bad";
+      let r4 = run "outer" 4. and r5 = run "twice" 5. in
+      let r6 = run "shaped" 6. in
+      check_snapshots label [ r1; r2; r3; r4; r5; r6 ])
+    (escape_ctxs ())
+
+(* Recycling moves no bits: the marched Sod states equal the
+   interpreter's and the 2-lane VM's at every step.  400 cells puts the
+   [3, n] with-loops over the default threshold, so the 2-lane run
+   cuts them into lane boxes. *)
+let test_recycle_sod_bitwise () =
+  let compiled = Sacprog.Runner.compile_euler_1d () in
+  let bc = compiled.Sacprog.Runner.bytecode in
+  let nx = 400 and steps = 6 in
+  let interp =
+    sod_march
+      (Sac.Eval.run_fun (Sac.Eval.make_ctx compiled.Sacprog.Runner.program))
+      ~nx ~steps
+  in
+  List.iter
+    (fun (label, ctx) ->
+      List.iteri
+        (fun i (a, b) ->
+          Alcotest.check bits_testable
+            (Printf.sprintf "%s step %d = interpreter" label (i + 1))
+            a b)
+        (List.combine interp (sod_march (Sac.Vm.run_fun ctx) ~nx ~steps)))
+    [ ("vm", Sac.Vm.make_ctx bc);
+      ("vm 2-lane", Sac.Vm.make_ctx ~exec:(Parallel.Exec.spmd ~lanes:2) bc) ]
+
+(* ------------------------------------------------------------------ *)
+(* Allocation pins                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words (exact, the orchestrating domain's) and words allocated
+   directly in the major heap, per Sod step (dt_of + step_dt) of [nx]
+   cells, after warm-up steps that compile the kernels and fill the
+   buffer pool. *)
+let sod_step_words ?exec nx =
+  let ctx = Sac.Vm.make_ctx ?exec (euler_1d_bc ()) in
+  let run = Sac.Vm.run_fun ctx in
+  let gam = vd Euler.Gas.gamma_air and dx = vd (1. /. float_of_int nx) in
+  let q = ref (run "sod_init" [ vi nx ]) in
+  let step () =
+    let dt = run "dt_of" [ !q; gam; dx; vd 0.5 ] in
+    q := run "step_dt" [ !q; dt; gam; dx ]
+  in
+  for _ = 1 to 3 do step () done;
+  let steps = 20 in
+  (* [Gc.counters] is exact for this domain ([Gc.quick_stat] only
+     samples at collections), but it boxes its words unrooted: an
+     empty minor heap keeps a collection from falling inside it, and
+     brings the promoted count up to date. *)
+  let direct () =
+    Gc.minor ();
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let d0 = direct () in
+  let w0 = Parallel.Exec.gc_words () in
+  for _ = 1 to steps do step () done;
+  let w1 = Parallel.Exec.gc_words () in
+  let d1 = direct () in
+  let per x = x /. float_of_int steps in
+  (per (w1.minor -. w0.minor), per (d1 -. d0))
+
+(* The Sod VM step allocates nothing per cell: minor words stay a
+   small constant (the boxed batched int compares once cost 73 per
+   cell), and the only direct major allocation is the returned state,
+   3 * nx floats (the step's dead with-loop results are recycled). *)
+let test_sod_step_words () =
+  List.iter
+    (fun (label, exec) ->
+      let m400, d400 = sod_step_words ?exec 400 in
+      let m4000, d4000 = sod_step_words ?exec 4000 in
+      let msg =
+        Printf.sprintf
+          "%s: %.0f minor words/step at nx 400, %.0f at 4000; direct major \
+           %.0f at 400, %.0f at 4000"
+          label m400 m4000 d400 d4000
+      in
+      Alcotest.(check bool) (msg ^ ": minor <= 8192") true
+        (m400 <= 8192. && m4000 <= 8192.);
+      Alcotest.(check bool) (msg ^ ": minor flat in nx") true
+        (m4000 <= m400 +. 1024.);
+      List.iter
+        (fun (nx, d) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: direct major at nx %d <= one state" msg nx)
+            true
+            (d <= float_of_int ((3 * nx) + 256)))
+        [ (400, d400); (4000, d4000) ])
+    [ ("sequential", None); ("spmd 2", Some (Parallel.Exec.spmd ~lanes:2)) ]
+
+(* The 2D port's rank-3 loads (the generic [KLoad]) allocate nothing
+   per element: a few words per cell per step of fixed costs at 32²,
+   where a closure and a ref per load once cost over 1,000. *)
+let test_quadrant_step_words () =
+  let bc = (Sacprog.Runner.compile_euler_2d ()).Sacprog.Runner.bytecode in
+  let ctx = Sac.Vm.make_ctx bc in
+  let n = 32 and steps = 2 in
+  let q0 = Sac.Vm.run_fun ctx "quadrant_init" [ vi n ] in
+  let d = vd (1. /. float_of_int n) in
+  let run k =
+    ignore
+      (Sac.Vm.run_fun ctx "run2"
+         [ q0; vi k; vd Euler.Gas.gamma_air; d; d; vd 0.5 ])
+  in
+  run 1;
+  let w0 = Parallel.Exec.gc_words () in
+  run steps;
+  let w1 = Parallel.Exec.gc_words () in
+  let per_cell = (w1.minor -. w0.minor) /. float_of_int (steps * n * n) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per cell per step <= 64" per_cell)
+    true (per_cell <= 64.)
+
 let () =
   Alcotest.run "bytecode"
     [ ( "disassembly",
@@ -717,4 +951,16 @@ let () =
           Alcotest.test_case "runner engines" `Quick
             test_runner_engines_agree;
           Alcotest.test_case "runner par-threshold" `Quick
-            test_runner_par_threshold ] ) ]
+            test_runner_par_threshold ] );
+      ( "recycling",
+        [ Alcotest.test_case "earlier results survive" `Quick
+            test_recycle_earlier_results;
+          Alcotest.test_case "escaping results kept" `Quick
+            test_recycle_escapes;
+          Alcotest.test_case "raising calls pool nothing" `Quick
+            test_recycle_after_raise;
+          Alcotest.test_case "sod bitwise" `Quick test_recycle_sod_bitwise ] );
+      ( "allocation",
+        [ Alcotest.test_case "sod step words" `Quick test_sod_step_words;
+          Alcotest.test_case "quadrant step words" `Quick
+            test_quadrant_step_words ] ) ]
